@@ -114,7 +114,7 @@ class ProgressObserver(EngineObserver):
 
     def index_committed(self, directory, candidate, pairs):
         what = f"candidate {candidate}" if candidate is not None \
-            else "session snapshot"
+            else "session state"
         self._line(f"index: committed {what} ({pairs} pair(s)) "
                    f"to {directory}")
 
@@ -400,11 +400,15 @@ def _cmd_index(args: argparse.Namespace) -> int:
     completed = status["completed"]
     lines.append(f"  completed candidates: "
                  f"{', '.join(completed) if completed else '(none)'}")
-    lines.append(f"  segments: {len(status['segments'])} referenced, "
-                 f"{status['segment_files']} on disk "
+    deltas = status["session_deltas"]
+    lines.append(f"  segments: {len(status['segments']) + len(deltas)} "
+                 f"referenced, {status['segment_files']} on disk "
                  f"({len(status['orphan_segments'])} orphaned)")
     for role, name in sorted(status["segments"].items()):
         lines.append(f"    {role}: {name}")
+    if deltas:
+        lines.append(f"    session deltas: {len(deltas)} "
+                     f"(last {deltas[-1]})")
     counters = status["counters"]
     if counters:
         lines.append("  counters:")

@@ -53,7 +53,7 @@ DEFAULT_EXECUTION_PLANE = "auto"
 DEFAULT_WORKER_POOL_PERSIST = True
 DEFAULT_SHARED_MEMORY_MIN_BYTES = 65536
 # Detection index: a directory where per-run state (GK tables,
-# confirmed pairs, incremental session snapshots) persists across
+# confirmed pairs, incremental session state) persists across
 # process restarts, making runs resumable.  None keeps all run state
 # in memory; index_persist gates the directory without forgetting the
 # path.  Kept here rather than imported from repro.core.index for the

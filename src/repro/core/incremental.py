@@ -9,11 +9,15 @@ that to XML as an engine configuration built from three stateful stages:
   familiar schema; their GK rows are eid-offset and appended to
   persistent per-candidate tables.
 * :class:`IncrementalNeighborhood` — per candidate and per key a sorted
-  key list persists across batches, and each new batch compares only
-  the neighborhoods that contain at least one *new* instance.
-* :class:`~repro.core.stages.LiveClosure` — a union-find forest that
-  survives across batches supplies the live cluster state for
-  descendant evidence.
+  key list persists across batches, and each new batch visits only the
+  sort positions within ``window − 1`` after a *new* instance.
+* :class:`BatchClosure` — a union-find forest that survives across
+  batches supplies the live cluster state for descendant evidence; each
+  batch registers only its new instances and unions only the pairs it
+  confirmed.
+
+So one batch costs in proportion to the batch, not to the session, up
+to the per-batch :class:`~repro.core.clusters.ClusterSet` snapshot.
 
 One documented trade-off of incrementality: a parent pair compared in
 an earlier batch is not re-examined when a later batch merges
@@ -48,7 +52,10 @@ class _CandidateState:
     sorted_keys: list[list[tuple[str, int]]]
     pairs: set[tuple[int, int]] = field(default_factory=set)
     comparisons: int = 0
+    #: What the current batch added: the closure folds these in and the
+    #: session commits them as the index's next delta.
     new_rows: list[GkRow] = field(default_factory=list)
+    new_pairs: list[tuple[int, int]] = field(default_factory=list)
 
 
 class AccumulatingKeySource:
@@ -91,6 +98,7 @@ class AccumulatingKeySource:
         for name, table in batch_gk.items():
             state = self.states[name]
             state.new_rows = []
+            state.new_pairs = []
             for row in table:
                 children = {child_name: [eid + offset for eid in eids]
                             for child_name, eids in row.children.items()}
@@ -104,9 +112,13 @@ class AccumulatingKeySource:
 class IncrementalNeighborhood:
     """Window only the neighborhoods touched by the current batch.
 
-    New rows are merged into the persistent per-key sorted lists; the
-    sliding window then skips any pair whose two members both predate
-    the batch — those neighborhoods were already examined.
+    New rows are merged into the persistent per-key sorted lists.  Only
+    a sort position at or within ``window − 1`` after a new entry can
+    close a window holding that entry, so only those positions are
+    visited, in ascending order: the compare calls come in exactly the
+    order a walk over the whole list makes them.  A pair whose two
+    members both predate the batch is skipped — those neighborhoods
+    were already examined.
     """
 
     traversal = BOTTOM_UP
@@ -121,10 +133,17 @@ class IncrementalNeighborhood:
         for key_index, order in enumerate(state.sorted_keys):
             ctx.pass_started(key_index)
             pass_comparisons = 0
-            for row in state.new_rows:
-                entry = (row.keys[key_index], row.eid)
+            entries = [(row.keys[key_index], row.eid)
+                       for row in state.new_rows]
+            for entry in entries:
                 order.insert(bisect.bisect_left(order, entry), entry)
-            for index, (_, eid) in enumerate(order):
+            visit: set[int] = set()
+            for entry in entries:
+                position = bisect.bisect_left(order, entry)
+                visit.update(range(position,
+                                   min(position + ctx.window, len(order))))
+            for index in sorted(visit):
+                eid = order[index][1]
                 start = max(0, index - ctx.window + 1)
                 for other_index in range(start, index):
                     other_eid = order[other_index][1]
@@ -138,11 +157,31 @@ class IncrementalNeighborhood:
                                           state.table.row(pair[1]))
                     if verdict.is_duplicate:
                         state.pairs.add(pair)
+                        state.new_pairs.append(pair)
             ctx.pass_finished(key_index, pass_comparisons)
             batch_comparisons += pass_comparisons
         state.comparisons += batch_comparisons
         ctx.pairs.update(state.pairs)
         return NeighborhoodOutcome(batch_comparisons)
+
+
+class BatchClosure(LiveClosure):
+    """Live closure that folds in only what the current batch added.
+
+    The engine hands ``close`` the session's whole pair set and
+    universe, but the forest already holds every earlier instance and
+    pair: only the batch's new rows and newly confirmed pairs, recorded
+    on the candidate states, are registered and unioned.
+    """
+
+    def __init__(self, states: dict[str, _CandidateState]):
+        super().__init__()
+        self.states = states
+
+    def close(self, candidate_name, pairs, universe):
+        state = self.states[candidate_name]
+        return super().close(candidate_name, state.new_pairs,
+                             [row.eid for row in state.new_rows])
 
 
 class IncrementalSxnm:
@@ -152,10 +191,12 @@ class IncrementalSxnm:
     session state — accumulated GK tables, confirmed pairs, comparison
     counters, the eid offset — is committed to a
     :class:`~repro.core.index.DetectionIndex` after every batch and
-    delta, and a new :class:`IncrementalSxnm` over the same directory
-    (and the same configuration fingerprint) restores it: batches
-    continue bit-identically to a session that never restarted.  Sorted
-    key lists and the union-find forest are *rebuilt* from the restored
+    delete: a batch commits only the rows and pairs it added, as one
+    delta segment, and a delete commits a full snapshot.  A new
+    :class:`IncrementalSxnm` over the same directory (and the same
+    configuration fingerprint) restores it: batches continue
+    bit-identically to a session that never restarted.  Sorted key
+    lists and the union-find forest are *rebuilt* from the restored
     tables and pairs — both reconstructions are canonical, so no
     ordering state needs to persist.
     """
@@ -169,9 +210,9 @@ class IncrementalSxnm:
         if index_dir is not None:
             config.index_dir = index_dir
         self._key_source = AccumulatingKeySource(config)
-        self._closure = LiveClosure()
+        self._closure = BatchClosure(self._key_source.states)
         # use_index=False: the session owns the index (one session
-        # snapshot per batch), the engine must not also claim it for
+        # commit per batch), the engine must not also claim it for
         # per-run state.
         self.engine = DetectionEngine(
             config,
@@ -185,6 +226,9 @@ class IncrementalSxnm:
         self.hierarchy = self.engine.hierarchy
         self._states = self._key_source.states
         self._batches = 0
+        #: Set when memory ran ahead of the committed chain by more than
+        #: the last batch (a batch that raised): the next commit folds.
+        self._fold_next = False
         self.restored = False
         self._index = self._open_index()
 
@@ -252,21 +296,30 @@ class IncrementalSxnm:
             state.pairs = session["pairs"].get(name, set())
             state.comparisons = session["comparisons"].get(name, 0)
             state.new_rows = []
-            forest = self._closure.forest(name)
-            for eid in table.eids():
-                forest.add(eid)
-            for left, right in state.pairs:
-                forest.union(left, right)
+            state.new_pairs = []
+            self._rebuild_forest(name, state)
         self.restored = restored > 0
         return restored
 
-    def _commit_session(self) -> None:
+    def _rebuild_forest(self, name: str, state: _CandidateState) -> None:
+        """Replace ``name``'s forest with the closure of its state."""
+        forest = UnionFind(state.table.eids())
+        for left, right in state.pairs:
+            forest.union(left, right)
+        self._closure._forests[name] = forest
+
+    def _commit_session(self, fold: bool = False) -> None:
         if self._index is None:
             return
         states = {name: (state.table, state.pairs, state.comparisons)
                   for name, state in self._states.items()}
+        delta = None
+        if not (fold or self._fold_next):
+            delta = {name: (state.new_rows, state.new_pairs)
+                     for name, state in self._states.items()}
+        self._fold_next = False
         committed = self._index.commit_session(
-            self._key_source._eid_offset, self._batches, states)
+            self._key_source._eid_offset, self._batches, states, delta)
         if committed:
             emit = self._emit()
             if emit is not None:
@@ -284,7 +337,16 @@ class IncrementalSxnm:
         """
         before = {name: len(state.pairs)
                   for name, state in self._states.items()}
-        self.engine.run(source, window=self.window)
+        try:
+            self.engine.run(source, window=self.window)
+        except BaseException:
+            # A batch that stops part-way may leave rows and pairs that
+            # no closure folded in and no delta will carry: close over
+            # the states again and make the next commit a snapshot.
+            for name, state in self._states.items():
+                self._rebuild_forest(name, state)
+            self._fold_next = True
+            raise
         self._batches += 1
         self._commit_session()
         return {name: len(state.pairs) - before[name]
@@ -335,18 +397,14 @@ class IncrementalSxnm:
                 state.table = self._strip_table(spec.name, state.table,
                                                 removed_eids, doomed)
             if removed_eids:
-                forest = UnionFind()
-                for eid in state.table.eids():
-                    forest.add(eid)
-                for left, right in state.pairs:
-                    forest.union(left, right)
-                self._closure._forests[spec.name] = forest
+                self._rebuild_forest(spec.name, state)
             state.new_rows = []
+            state.new_pairs = []
             confirmed[spec.name] = self._rewindow(spec, state, window,
                                                   perturbed,
                                                   cluster_snapshot)
             cluster_snapshot[spec.name] = self.cluster_set(spec.name)
-        self._commit_session()
+        self._commit_session(fold=True)
         return confirmed
 
     @staticmethod

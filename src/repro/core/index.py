@@ -11,12 +11,14 @@ directory holding
   *config fingerprint* (a digest of every result-affecting parameter),
   the *corpus checksum* of the detected document, the run parameters
   (window override, key selection), per-phase counters, the set of
-  candidates whose detection state is committed, and the role → segment
-  mapping.  Rewritten atomically (tempfile + ``os.replace``) after every
-  commit, so a killed process always leaves a manifest that references
-  only fully written segments.
+  candidates whose detection state is committed, the role → segment
+  mapping, and the incremental session's delta chain.  Rewritten
+  atomically (tempfile + ``os.replace``) after every commit, so a
+  killed process always leaves a manifest that references only fully
+  written segments.
 * content-addressed *segment files* (``segment-<checksum16>.xidx``) —
-  one per role (``gk``, ``run/<candidate>``, ``session``), each carrying
+  one per role (``gk``, ``run/<candidate>``, ``session``), plus one per
+  link of the session's delta chain (``session-delta``), each carrying
   a version header, its payload length, a SHA-256 checksum, and the
   config fingerprint it was recorded under.  GK rows are stored with an
   **interned string pool**: every distinct key/OD string appears once
@@ -24,11 +26,22 @@ directory holding
   strings are one object — exactly the layout the shared-memory
   execution plane publishes (it can skip re-interning per run).
 
+An incremental session is a *base snapshot* (role ``session``) followed
+by a chain of *delta* segments, each holding only the rows and pairs
+one commit added and naming the link before it.  A commit writes one
+delta unless the chain's payload bytes have reached the base's, or the
+caller asks for a full snapshot (deletes do); then one full snapshot
+replaces base and chain.  Bytes written per commit are therefore
+amortized O(delta), and a restore reads at most about two snapshots'
+worth.
+
 The fault discipline mirrors ``similarity/store.py`` exactly: **fail
 cold, never wrong**.  Truncated, corrupted, alien-version, or
 stale-fingerprint segments (and unreadable or corrupt manifests) warn
 once each through the observer callback and contribute nothing; a
 damaged index degrades to a cold start, it never resumes wrong state.
+A damaged link anywhere in the session chain drops the whole session:
+a prefix of the chain is never restored.
 
 Determinism: committed candidate state is ``(pairs, comparisons,
 filtered, timings, stats)``.  Clusters are *not* stored —
@@ -53,6 +66,8 @@ INDEX_MAGIC = "sxnm-index"
 INDEX_VERSION = 1
 SEGMENT_SUFFIX = ".xidx"
 MANIFEST_NAME = "MANIFEST.json"
+#: Role of every link after the base snapshot in the session chain.
+SESSION_DELTA_ROLE = "session-delta"
 
 WarnCallback = Callable[[str], None]
 
@@ -142,8 +157,13 @@ def run_signature(window, key_selection) -> dict:
 # GK encoding with an interned string pool
 
 
-def _encode_tables(tables: dict[str, GkTable]) -> dict:
-    """Serialize GK tables with every distinct string pooled once."""
+def _encode_tables(tables: dict[str, GkTable],
+                   rows: dict[str, list[GkRow]] | None = None) -> dict:
+    """Serialize GK tables with every distinct string pooled once.
+
+    With ``rows``, each table contributes only ``rows[name]`` (a session
+    delta) instead of all its rows.
+    """
     pool: dict[str, int] = {}
     strings: list[str] = []
 
@@ -166,7 +186,7 @@ def _encode_tables(tables: dict[str, GkTable]) -> dict:
                       [ref(od) for od in row.ods],
                       [[child, list(eids)]
                        for child, eids in row.children.items()]]
-                     for row in table],
+                     for row in (table if rows is None else rows[name])],
         }
     return {"strings": strings, "tables": encoded}
 
@@ -198,6 +218,31 @@ def _encode_pairs(pairs) -> list[list[int]]:
 
 def _decode_pairs(encoded) -> set[tuple[int, int]]:
     return {(int(left), int(right)) for left, right in encoded}
+
+
+def _replay_session(session: dict | None, payload: dict) -> dict:
+    """Apply one session chain link; ``session`` is ``None`` for the base.
+
+    A delta's rows append to their tables and its pairs join the
+    confirmed sets; the offset, batch count and comparison counters are
+    absolute in every link, so the last link's values stand.
+    """
+    tables = _decode_tables(payload["gk"])
+    pairs = {name: _decode_pairs(encoded)
+             for name, encoded in payload["pairs"].items()}
+    if session is None:
+        session = {"tables": tables, "pairs": pairs}
+    else:
+        for name, table in tables.items():
+            for row in table:
+                session["tables"][name].add(row)
+        for name, found in pairs.items():
+            session["pairs"][name].update(found)
+    session["eid_offset"] = int(payload["eid_offset"])
+    session["batches"] = int(payload["batches"])
+    session["comparisons"] = {name: int(count) for name, count
+                              in payload["comparisons"].items()}
+    return session
 
 
 class DetectionIndex:
@@ -234,6 +279,10 @@ class DetectionIndex:
         self._failed: set[str] = set()
         #: Tables decoded from the on-disk pool (interned rows).
         self._tables: dict[str, GkTable] | None = None
+        #: Payload bytes ``[base, chain]`` of the session chain this
+        #: index last replayed or wrote; ``None`` until then, and after a
+        #: failed write, so that the next commit is a full snapshot.
+        self._session_bytes: list[int] | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -249,6 +298,7 @@ class DetectionIndex:
             "counters": {},
             "completed": [],
             "segments": {},
+            "session_deltas": [],
         }
 
     def _emit(self, message: str) -> None:
@@ -299,6 +349,7 @@ class DetectionIndex:
         base["segments"] = dict(manifest.get("segments") or {})
         base["completed"] = list(manifest.get("completed") or [])
         base["counters"] = dict(manifest.get("counters") or {})
+        base["session_deltas"] = list(manifest.get("session_deltas") or [])
         self.manifest = base
 
     def _flush_manifest(self) -> bool:
@@ -388,12 +439,14 @@ class DetectionIndex:
         segments = {role: name
                     for role, name in self.manifest["segments"].items()
                     if not role.startswith("run/")}
+        session_deltas = self.manifest["session_deltas"]
         self.manifest = self._empty_manifest()
         self.manifest["config_fingerprint"] = config_fingerprint(config)
         self.manifest["corpus_checksum"] = corpus
         self.manifest["run_params"] = params
         self.manifest["counters"] = counters
         self.manifest["segments"] = segments
+        self.manifest["session_deltas"] = session_deltas
         self._payloads = {key: value for key, value in self._payloads.items()
                           if not key.startswith("run/")}
         self._flush_manifest()
@@ -404,6 +457,7 @@ class DetectionIndex:
         self.manifest["config_fingerprint"] = config_fingerprint(config)
         self._payloads.clear()
         self._tables = None
+        self._session_bytes = None
         self._flush_manifest()
 
     # ------------------------------------------------------------------
@@ -412,8 +466,12 @@ class DetectionIndex:
     def _segment_path(self, name: str) -> str:
         return os.path.join(self.directory, os.path.basename(name))
 
-    def _write_segment(self, role: str, payload_obj) -> str | None:
-        """Write one role's payload as an atomic segment; returns its name."""
+    def _write_segment(self, role: str,
+                       payload_obj) -> tuple[str, int] | None:
+        """Write one role's payload as an atomic segment.
+
+        Returns the segment's name and payload bytes.
+        """
         if self.read_only or not self.usable:
             return None
         payload = json.dumps(payload_obj, ensure_ascii=True,
@@ -447,7 +505,7 @@ class DetectionIndex:
                        f"stays in memory only")
             return None
         self.segments_written += 1
-        return name
+        return name, len(payload)
 
     def _load_segment(self, role: str) -> dict | None:
         """Load the manifest's segment for ``role``; faults warn and skip."""
@@ -460,6 +518,19 @@ class DetectionIndex:
         if not name:
             return None
         self._failed.add(role)  # cleared below on a successful load
+        loaded = self._read_segment(name, role)
+        if loaded is None:
+            return None
+        self._failed.discard(role)
+        self._payloads[role] = loaded[0]
+        return loaded[0]
+
+    def _read_segment(self, name: str, role: str) -> tuple[object, int] | None:
+        """Read and verify segment ``name`` as ``role`` state.
+
+        Returns the decoded payload and its byte count; every fault
+        warns once and returns ``None``.
+        """
         path = self._segment_path(name)
         try:
             with open(path, "rb") as handle:
@@ -512,16 +583,14 @@ class DetectionIndex:
                        f"not parse; ignoring it")
             return None
         self.segments_loaded += 1
-        self._failed.discard(role)
-        self._payloads[role] = payload_obj
-        return payload_obj
+        return payload_obj, payload_bytes
 
     def _commit(self, role: str, payload_obj) -> bool:
         """Write the segment, repoint the manifest, publish both."""
-        name = self._write_segment(role, payload_obj)
-        if name is None:
+        written = self._write_segment(role, payload_obj)
+        if written is None:
             return False
-        self.manifest.setdefault("segments", {})[role] = name
+        self.manifest.setdefault("segments", {})[role] = written[0]
         self._payloads[role] = payload_obj
         self._failed.discard(role)
         return self._flush_manifest()
@@ -662,55 +731,103 @@ class DetectionIndex:
     # ------------------------------------------------------------------
     # Incremental session state
 
-    def commit_session(self, eid_offset: int, batches: int,
-                       states: dict) -> bool:
-        """Commit an incremental session snapshot.
+    def commit_session(self, eid_offset: int, batches: int, states: dict,
+                       delta: dict | None = None) -> bool:
+        """Commit an incremental session: one delta link or a snapshot.
 
         ``states`` maps candidate name to ``(table, pairs, comparisons)``
-        — the :class:`~repro.core.incremental._CandidateState` essence.
-        Sorted key lists are *not* stored: they are provably
-        ``sorted((key, eid))`` of the table (bisect-maintained), so the
-        restore rebuilds them bit-identically by sorting.
+        — the :class:`~repro.core.incremental._CandidateState` essence —
+        and ``delta`` maps it to ``(rows, pairs)``, what the session
+        added since its previous commit.  Those are appended to the
+        chain as one delta segment naming the link before it.  A full
+        snapshot of ``states`` replaces base and chain instead when
+        ``delta`` is ``None``, when this index has not replayed or
+        written the chain it would extend, or once the chain's payload
+        bytes have reached the base's.  Sorted key lists are *not*
+        stored: they are provably ``sorted((key, eid))`` of the table
+        (bisect-maintained), so the restore rebuilds them
+        bit-identically by sorting.
         """
+        sizes = self._session_bytes
+        fold = delta is None or sizes is None or sizes[1] >= sizes[0]
         tables = {name: table for name, (table, _, _) in states.items()}
+        if fold:
+            rows = None
+            pairs = {name: found for name, (_, found, _) in states.items()}
+        else:
+            rows = {name: added for name, (added, _) in delta.items()}
+            pairs = {name: found for name, (_, found) in delta.items()}
         payload = {
             "eid_offset": eid_offset,
             "batches": batches,
-            "gk": _encode_tables(tables),
-            "pairs": {name: _encode_pairs(pairs)
-                      for name, (_, pairs, _) in states.items()},
+            "gk": _encode_tables(tables, rows),
+            "pairs": {name: _encode_pairs(found)
+                      for name, found in pairs.items()},
             "comparisons": {name: comparisons
                             for name, (_, _, comparisons)
                             in states.items()},
         }
-        committed = self._commit("session", payload)
-        if committed:
-            self.bump("batches_committed")
-            self._flush_manifest()
-        return committed
+        chain = self.manifest["session_deltas"]
+        if not fold:
+            payload["parent"] = (chain[-1] if chain
+                                 else self.manifest["segments"]["session"])
+        written = self._write_segment(
+            "session" if fold else SESSION_DELTA_ROLE, payload)
+        if written is None:
+            self._session_bytes = None
+            return False
+        name, payload_bytes = written
+        if fold:
+            self.manifest["segments"]["session"] = name
+            self.manifest["session_deltas"] = []
+            self._session_bytes = [payload_bytes, 0]
+        else:
+            chain.append(name)
+            sizes[1] += payload_bytes
+        self._failed.discard("session")
+        self.bump("batches_committed")
+        return self._flush_manifest()
 
     def load_session(self) -> dict | None:
-        """The committed incremental session, decoded, if readable."""
-        payload = self._load_segment("session")
-        if payload is None:
+        """Replay the committed session: the base, then each delta.
+
+        A damaged, undecodable or out-of-order link anywhere in the
+        chain warns once and returns ``None`` for the whole session (a
+        cold start); a prefix of the chain is never restored.
+        """
+        self._session_bytes = None
+        if "session" in self._failed:
             return None
-        try:
-            tables = _decode_tables(payload["gk"])
-            return {
-                "eid_offset": int(payload["eid_offset"]),
-                "batches": int(payload["batches"]),
-                "tables": tables,
-                "pairs": {name: _decode_pairs(encoded)
-                          for name, encoded in payload["pairs"].items()},
-                "comparisons": {name: int(count) for name, count
-                                in payload["comparisons"].items()},
-            }
-        except (KeyError, TypeError, ValueError, IndexError) as error:
-            self._emit(f"detection index: session state does not decode "
-                       f"({error}); ignoring it")
-            self._failed.add("session")
-            self._payloads.pop("session", None)
+        base = self.manifest.get("segments", {}).get("session")
+        if not base:
             return None
+        self._failed.add("session")  # cleared below after a full replay
+        session = None
+        sizes = [0, 0]
+        parent = None
+        for name in [base] + self.manifest["session_deltas"]:
+            loaded = self._read_segment(
+                name, "session" if parent is None else SESSION_DELTA_ROLE)
+            if loaded is None:
+                return None
+            payload, payload_bytes = loaded
+            if parent is not None and (not isinstance(payload, dict)
+                                       or payload.get("parent") != parent):
+                self._emit(f"detection index: session delta {name} does "
+                           f"not follow {parent}; ignoring the session")
+                return None
+            try:
+                session = _replay_session(session, payload)
+            except (AttributeError, KeyError, TypeError, ValueError,
+                    IndexError) as error:
+                self._emit(f"detection index: session state does not "
+                           f"decode ({error}); ignoring it")
+                return None
+            sizes[parent is not None] += payload_bytes
+            parent = name
+        self._failed.discard("session")
+        self._session_bytes = sizes
+        return session
 
     # ------------------------------------------------------------------
     # Operations (sxnm index …)
@@ -731,21 +848,28 @@ class DetectionIndex:
             "completed": self.completed,
             "counters": self.counters(),
             "segments": dict(segments),
+            "session_deltas": list(self.manifest["session_deltas"]),
             "segment_files": len(on_disk),
-            "orphan_segments": sorted(set(on_disk)
-                                      - set(segments.values())),
+            "orphan_segments": sorted(set(on_disk) - self._referenced()),
         }
+
+    def _referenced(self) -> set[str]:
+        """Every segment the manifest names, session chain included."""
+        return (set(self.manifest.get("segments", {}).values())
+                | set(self.manifest["session_deltas"]))
 
     def compact(self) -> int:
         """Remove segment files the manifest no longer references.
 
         Content-addressed writes leave earlier generations behind (every
-        commit publishes a new file); compaction deletes the orphans.
-        Returns the number of files removed.
+        commit publishes a new file, and a session fold orphans the
+        chain it replaces); compaction deletes the orphans and keeps
+        every link of the live session chain.  Returns the number of
+        files removed.
         """
         if self.read_only or not self.usable:
             return 0
-        referenced = set(self.manifest.get("segments", {}).values())
+        referenced = self._referenced()
         removed = 0
         try:
             names = os.listdir(self.directory)

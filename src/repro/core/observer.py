@@ -167,7 +167,7 @@ class EngineObserver:
         """State was durably committed to the detection index.
 
         ``candidate`` names the candidate whose run state was written,
-        or is ``None`` for an incremental-session snapshot; ``pairs``
+        or is ``None`` for an incremental-session commit; ``pairs``
         counts the confirmed pairs in the committed state.  Failed
         commits emit a ``warning`` instead.
         """

@@ -326,6 +326,8 @@ def calibrate_three_way(scores: Sequence[float], labels: Sequence[bool], *,
         fit_problems.append("fit split has no positive pairs")
     if not any(not label for _, label in fit):
         fit_problems.append("fit split has no negative pairs")
+    if len({score for score, _ in fit}) < 2:
+        fit_problems.append("fit split has no two distinct scores")
     calibration_positives = [s for s, label in calibration if label]
     if not calibration_positives:
         fit_problems.append("calibration split has no positive pairs")

@@ -21,6 +21,7 @@ from repro.core import (AdaptiveSxnmDetector, CandidateHierarchy, ClusterSet,
                         SxnmDetector, TopDownDetector, adaptive_window_pass,
                         generate_gk, multipass, od_similarity,
                         select_key_indices)
+from repro.core.observer import EngineObserver
 from repro.core.simmeasure import SimilarityMeasure, od_similarity_upper_bound
 from repro.core.stages import od_only_spec
 from repro.datagen import generate_dataset2, generate_dirty_movies
@@ -190,8 +191,14 @@ def reference_topdown(config: SxnmConfig, document: XmlDocument,
     return outcomes
 
 
-def reference_incremental(config: SxnmConfig, batches, window: int):
-    """The historical IncrementalSxnm loop, restated on the kernels."""
+def reference_incremental(config: SxnmConfig, batches, window: int,
+                          compared: list | None = None):
+    """The historical IncrementalSxnm loop, restated on the kernels.
+
+    It walks every sorted key list in full on every batch; ``compared``,
+    if given, receives ``(candidate, left_eid, right_eid)`` per compare
+    call, in call order.
+    """
     hierarchy = CandidateHierarchy(config)
     names = [spec.name for spec in config.candidates]
     tables = {spec.name: GkTable(spec.name, key_count=len(spec.keys),
@@ -238,6 +245,8 @@ def reference_incremental(config: SxnmConfig, batches, window: int):
                         if pair in all_pairs[name]:
                             continue
                         comparisons[name] += 1
+                        if compared is not None:
+                            compared.append((name, *pair))
                         if measure.compare(table.row(pair[0]),
                                            table.row(pair[1])).is_duplicate:
                             all_pairs[name].add(pair)
@@ -443,19 +452,35 @@ class TestIncrementalGolden:
             assert total == len(incremental.pairs(name))
 
     def test_multi_batch_matches_frozen_reference(self):
-        """Three batches through IncrementalSxnm == the restated loop."""
+        """Three batches through IncrementalSxnm == the restated loop.
+
+        The session visits only sort positions near new entries, yet
+        makes the reference's full-walk compare calls in the same order.
+        """
+        class CompareOrder(EngineObserver):
+            def __init__(self):
+                self.calls = []
+
+            def pair_compared(self, candidate, left_eid, right_eid,
+                              verdict):
+                self.calls.append((candidate, left_eid, right_eid))
+
         config = dataset1_config()
         batches = [generate_dirty_movies(20, seed=seed,
                                          profile="effectiveness")
                    for seed in (31, 32, 33)]
-        incremental = IncrementalSxnm(config, window=6)
+        order = CompareOrder()
+        incremental = IncrementalSxnm(config, window=6, observers=[order])
         for batch in batches:
             incremental.add_batch(batch)
-        reference = reference_incremental(config, batches, window=6)
+        compared = []
+        reference = reference_incremental(config, batches, window=6,
+                                          compared=compared)
         for name, (pairs, comparisons, clusters) in reference.items():
             assert incremental.pairs(name) == pairs
             assert incremental.comparisons(name) == comparisons
             assert partition(incremental.cluster_set(name)) == clusters
+        assert order.calls == compared
 
 
 class TestParallelDetectionGolden:

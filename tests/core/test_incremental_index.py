@@ -1,20 +1,30 @@
 """Incremental sessions persisted through the DetectionIndex.
 
-A batch session with ``index_dir`` commits its accumulated state after
-every batch; a fresh :class:`IncrementalSxnm` over the same directory
-restores it and continues bit-identically to a session that never
-restarted.  Delete/update deltas re-window only perturbed neighborhoods
-and survive restarts the same way.  Satellite: a batch whose schema
-declares a candidate unknown to the accumulated tables raises a clear
-``DetectionError`` instead of silently drifting eids.
+A batch session with ``index_dir`` commits after every batch: one delta
+segment with the batch's rows and pairs on a base snapshot, folded into
+a new snapshot once the chain outweighs its base and on every delete.
+A fresh :class:`IncrementalSxnm` over the same directory replays base
+and chain and continues bit-identically to a session that never
+restarted, wherever in the chain it stopped.  Delete/update deltas
+re-window only perturbed neighborhoods and survive restarts the same
+way.  A batch whose schema declares a candidate unknown to the
+accumulated tables raises a clear ``DetectionError`` instead of
+silently drifting eids.
 """
+
+import json
+import os
 
 import pytest
 
-from repro.core import CounterObserver, IncrementalSxnm
-from repro.core.index import DetectionIndex
+from repro.cli import main
+from repro.core import ClusterSet, CounterObserver, IncrementalSxnm
+from repro.core.index import DetectionIndex, SEGMENT_SUFFIX
+from repro.core.observer import EngineObserver
 from repro.errors import DetectionError
 from repro.experiments import dataset1_config, dataset2_config
+from tests.core.conftest import (chain_links, disc_batches, open_session,
+                                 run_session, session_state)
 
 BATCH_1 = """
 <freedb>
@@ -168,6 +178,137 @@ class TestSessionRestore:
         reference = IncrementalSxnm(dataset2_config(window=5))
         reference.add_batch(BATCH_1)
         assert session_view(reopened) == session_view(reference)
+
+
+#: Fifteen small batches: the chain folds at batches 3, 7 and 14.
+CHAIN_BATCHES = disc_batches([2] * 15)
+
+
+def payload_bytes(directory, name):
+    """The payload length a segment's metadata line records."""
+    with open(os.path.join(directory, name), "rb") as handle:
+        handle.readline()
+        return json.loads(handle.readline())["payload_bytes"]
+
+
+class TestChainRestart:
+    @pytest.mark.parametrize("stop", ["mid-chain", "after-fold",
+                                      "after-compact"])
+    def test_restart_continues_bit_identically(self, tmp_path, stop):
+        continuous = run_session(CHAIN_BATCHES)
+        index_dir = str(tmp_path / "session")
+        first = open_session(index_dir)
+        for number, batch in enumerate(CHAIN_BATCHES, start=1):
+            first.add_batch(batch)
+            deltas = len(chain_links(first)) - 1
+            if stop == "after-fold" and number > 1 and deltas == 0:
+                break
+            if stop != "after-fold" and deltas >= 2:
+                break
+        assert number < len(CHAIN_BATCHES)
+        if stop == "after-compact":
+            links = chain_links(first)
+            assert main(["index", "compact", index_dir]) == 0
+            on_disk = sorted(name for name in os.listdir(index_dir)
+                             if name.endswith(SEGMENT_SUFFIX))
+            assert on_disk == sorted(links)
+        del first  # the process dies between batches
+
+        second = open_session(index_dir)
+        assert second.restored is True
+        for batch in CHAIN_BATCHES[number:]:
+            second.add_batch(batch)
+        assert session_state(second) == session_state(continuous)
+
+    def test_every_prefix_restores_the_committed_state(self, tmp_path):
+        index_dir = str(tmp_path / "session")
+        session = open_session(index_dir)
+        for batch in CHAIN_BATCHES:
+            session.add_batch(batch)
+            assert session_state(open_session(index_dir)) \
+                == session_state(session)
+
+    def test_fold_rule_bounds_restore_and_bytes_written(self, tmp_path):
+        index_dir = str(tmp_path / "session")
+        session = open_session(index_dir)
+        written = 0
+        for batch in CHAIN_BATCHES:
+            session.add_batch(batch)
+            links = chain_links(session)
+            sizes = [payload_bytes(index_dir, name) for name in links]
+            written += sizes[-1]
+            # A delta is appended only while the chain is lighter than
+            # the base: a restore reads under two bases plus one delta.
+            assert sum(sizes[1:-1]) < sizes[0]
+        # Snapshot sizes at least double between folds, so everything
+        # written stays within a small multiple of one full snapshot.
+        session._index.commit_session(
+            0, 0, {name: (state.table, state.pairs, state.comparisons)
+                   for name, state in session._states.items()})
+        full = payload_bytes(index_dir, chain_links(session)[0])
+        assert written <= 4 * full
+
+    def test_compact_keeps_every_chain_segment(self, tmp_path):
+        index_dir = str(tmp_path / "session")
+        session = run_session(CHAIN_BATCHES, index_dir)
+        links = chain_links(session)
+        assert len(links) >= 2
+        index = DetectionIndex(index_dir).open()
+        assert sorted(index.status()["orphan_segments"]) == sorted(
+            name for name in os.listdir(index_dir)
+            if name.endswith(SEGMENT_SUFFIX) and name not in links)
+        assert index.compact() > 0
+        assert sorted(name for name in os.listdir(index_dir)
+                      if name.endswith(SEGMENT_SUFFIX)) == sorted(links)
+        assert index.status()["orphan_segments"] == []
+        assert session_state(open_session(index_dir)) \
+            == session_state(session)
+
+    def test_delete_and_update_fold(self, tmp_path):
+        index_dir = str(tmp_path / "session")
+        session = run_session(CHAIN_BATCHES[:5], index_dir)
+        before = chain_links(session)
+        assert len(before) >= 2
+        disc_eids = sorted(session._states["disc"].table.eids())
+
+        session.delete([disc_eids[0]])
+        after_delete = chain_links(session)
+        assert len(after_delete) == 1 and after_delete[0] != before[0]
+
+        session.update([disc_eids[1]], CHAIN_BATCHES[5])
+        after_update = chain_links(session)
+        # The update's delete folds; its batch goes on as one delta.
+        assert after_update[0] != after_delete[0]
+        assert len(after_update) == 2
+        assert session_state(open_session(index_dir)) \
+            == session_state(session)
+
+    def test_batch_that_raises_folds_the_next_commit(self, tmp_path):
+        class StopAfterTitles(EngineObserver):
+            def candidate_finished(self, candidate, outcome):
+                if candidate == "title":
+                    raise KeyboardInterrupt("stopped mid-batch")
+
+        index_dir = str(tmp_path / "session")
+        session = run_session(CHAIN_BATCHES[:4], index_dir)
+        assert len(chain_links(session)) >= 2
+        stopper = StopAfterTitles()
+        session.engine.add_observer(stopper)
+        with pytest.raises(KeyboardInterrupt):
+            session.add_batch(CHAIN_BATCHES[4])
+        session.engine.remove_observer(stopper)
+        session.add_batch(CHAIN_BATCHES[5])
+
+        # The stopped batch's rows ride on the next commit: a snapshot.
+        assert len(chain_links(session)) == 1
+        for name in ("disc", "title"):
+            state = session._states[name]
+            closed = ClusterSet.from_pairs(name, state.pairs,
+                                           state.table.eids())
+            assert ([list(c) for c in session.cluster_set(name)]
+                    == [list(c) for c in closed])
+        assert session_state(open_session(index_dir)) \
+            == session_state(session)
 
 
 class TestUnknownCandidateBatch:

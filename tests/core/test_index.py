@@ -183,6 +183,77 @@ class TestRunState:
         assert [row.eid for row in session["tables"]["movie"]] == [3, 9]
 
 
+class TestSessionChain:
+    """Delta commits on a base snapshot, replayed in chain order."""
+
+    def base_and_delta(self, tmp_path):
+        index = open_index(tmp_path)
+        index.manifest["config_fingerprint"] = "f" * 16
+        tables = make_tables()
+        states = {"movie": (tables["movie"], {(3, 9)}, 7),
+                  "person": (tables["person"], set(), 2)}
+        assert index.commit_session(120, 1, states)
+        added = GkRow(130, ["MT98", "5MA"], ["Matrix", None, None],
+                      {"person": []})
+        tables["movie"].add(added)
+        states = {"movie": (tables["movie"], {(3, 9), (9, 130)}, 10),
+                  "person": (tables["person"], set(), 2)}
+        delta = {"movie": ([added], [(9, 130)]), "person": ([], [])}
+        assert index.commit_session(140, 2, states, delta)
+        return index
+
+    def test_delta_appends_one_link_and_replays(self, tmp_path):
+        index = self.base_and_delta(tmp_path)
+        assert len(index.manifest["session_deltas"]) == 1
+        session = DetectionIndex(index.directory).open().load_session()
+        assert session["eid_offset"] == 140
+        assert session["batches"] == 2
+        assert session["pairs"] == {"movie": {(3, 9), (9, 130)},
+                                    "person": set()}
+        assert session["comparisons"] == {"movie": 10, "person": 2}
+        assert [row.eid for row in session["tables"]["movie"]] \
+            == [3, 9, 130]
+        assert index.counters()["batches_committed"] == 2
+
+    def test_commit_on_an_unreplayed_chain_folds(self, tmp_path):
+        index = self.base_and_delta(tmp_path)
+        stranger = DetectionIndex(index.directory).open()
+        table = make_tables()["person"]
+        assert stranger.commit_session(
+            150, 3, {"person": (table, set(), 0)},
+            {"person": ([], [])})
+        assert stranger.manifest["session_deltas"] == []
+        assert stranger.load_session()["batches"] == 3
+
+    def test_failed_delta_write_folds_the_next_commit(self, tmp_path,
+                                                      monkeypatch):
+        import tempfile
+        index = self.base_and_delta(tmp_path)
+        tables = make_tables()
+        states = {"movie": (tables["movie"], {(3, 9)}, 7),
+                  "person": (tables["person"], set(), 2)}
+        nothing = {"movie": ([], []), "person": ([], [])}
+
+        def refuse(*args, **kwargs):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(tempfile, "mkstemp", refuse)
+            assert index.commit_session(140, 3, states, nothing) is False
+        assert index.commit_session(140, 4, states, nothing) is True
+        assert index.manifest["session_deltas"] == []
+        session = DetectionIndex(index.directory).open().load_session()
+        assert session["batches"] == 4
+        assert [row.eid for row in session["tables"]["movie"]] == [3, 9]
+
+    def test_status_counts_chain_links_as_referenced(self, tmp_path):
+        index = self.base_and_delta(tmp_path)
+        status = index.status()
+        assert status["session_deltas"] == index.manifest["session_deltas"]
+        # The base snapshot of the first commit is still referenced.
+        assert status["orphan_segments"] == []
+
+
 class TestOperations:
     def test_initialize_stamps_fingerprint(self, tmp_path):
         config = dataset1_config()

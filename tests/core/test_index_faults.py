@@ -4,18 +4,24 @@ Mirrors ``tests/similarity/test_store_faults.py``: every test damages an
 index directory in one specific way, then asserts that the damage
 produces exactly one human-readable warning and that whatever still
 loads is correct — a damaged index degrades to a cold start (the state
-is regenerated), it never resumes wrong state.
+is regenerated), it never resumes wrong state.  For an incremental
+session that holds for the whole chain: one damaged link, wherever it
+sits, drops the session rather than restoring a prefix of it.
 """
 
 import json
 import os
 
+import pytest
+
 from repro.core import CounterObserver, SxnmDetector
 from repro.core.index import (DetectionIndex, INDEX_MAGIC, MANIFEST_NAME,
-                              SEGMENT_SUFFIX)
+                              SEGMENT_SUFFIX, SESSION_DELTA_ROLE)
 from repro.datagen import generate_dirty_movies
 from repro.experiments import dataset1_config
 from repro.xmlmodel import serialize
+from tests.core.conftest import (chain_links, disc_batches, open_session,
+                                 run_session, session_state)
 
 
 def seeded_directory(tmp_path, name="index"):
@@ -363,3 +369,122 @@ class TestNeverWrong:
         assert observer.counts.get("pair_compared", 0) > 0  # really re-ran
         for name in baseline.outcomes:
             assert resumed.pairs(name) == baseline.pairs(name)
+
+
+# ---------------------------------------------------------------------------
+# The incremental session chain: a base snapshot plus delta links
+
+
+#: One large batch for the base, then four one-disc deltas.
+CHAIN_BATCHES = disc_batches([12, 1, 1, 1, 1])
+
+
+def truncate(path):
+    blob = open(path, "rb").read()
+    open(path, "wb").write(blob[:-15])
+
+
+def flip_payload_byte(path):
+    blob = bytearray(open(path, "rb").read())
+    blob[-5] ^= 0xFF
+    open(path, "wb").write(bytes(blob))
+
+
+def rewrite_meta(path, change):
+    """Apply ``change`` to the metadata line; the payload stays intact."""
+    header, _, rest = open(path, "rb").read().partition(b"\n")
+    meta_line, _, payload = rest.partition(b"\n")
+    meta = json.loads(meta_line)
+    change(meta)
+    open(path, "wb").write(header + b"\n" + json.dumps(meta).encode()
+                           + b"\n" + payload)
+
+
+def wrong_role(path):
+    # The other session role: a delta passed off as the base, or back.
+    def swap(meta):
+        meta["role"] = ("session" if meta["role"] == SESSION_DELTA_ROLE
+                        else SESSION_DELTA_ROLE)
+    rewrite_meta(path, swap)
+
+
+def stale_fingerprint(path):
+    rewrite_meta(path, lambda meta: meta.update(config_fingerprint="0" * 16))
+
+
+class TestSessionChainFaults:
+    """A damaged link warns once and drops the whole session, cold."""
+
+    def chained_directory(self, tmp_path):
+        directory = tmp_path / "session"
+        session = run_session(CHAIN_BATCHES, str(directory))
+        links = chain_links(session)
+        assert len(links) == len(CHAIN_BATCHES)  # base + four deltas
+        return directory, links
+
+    @pytest.mark.parametrize("link", ["base", "middle", "last"])
+    @pytest.mark.parametrize("damage, warning", [
+        (truncate, "is truncated"),
+        (flip_payload_byte, "fails its checksum"),
+        (wrong_role, "state, not"),
+        (stale_fingerprint, "different configuration fingerprint"),
+    ], ids=["truncated", "flipped-byte", "wrong-role", "stale-fingerprint"])
+    def test_damaged_link_starts_the_session_cold(self, tmp_path, link,
+                                                  damage, warning):
+        directory, links = self.chained_directory(tmp_path)
+        position = {"base": 0, "middle": 2, "last": len(links) - 1}[link]
+        damage(directory / links[position])
+
+        index, warnings = reopen(directory)
+        assert index.load_session() is None
+        assert index.load_session() is None  # warn once, not per lookup
+        assert len(warnings) == 1
+        assert warning in warnings[0]
+
+        counter = CounterObserver()
+        cold = open_session(str(directory), observers=[counter])
+        assert cold.restored is False
+        assert len(counter.warnings) == 1
+        cold.add_batch(CHAIN_BATCHES[0])
+        assert session_state(cold) == session_state(
+            run_session(CHAIN_BATCHES[:1]))
+
+    def test_reordered_chain_is_refused(self, tmp_path):
+        directory, links = self.chained_directory(tmp_path)
+        index, _ = reopen(directory)
+        deltas = index.manifest["session_deltas"]
+        deltas[1], deltas[2] = deltas[2], deltas[1]
+        index._flush_manifest()
+
+        reopened, warnings = reopen(directory)
+        assert reopened.load_session() is None
+        assert len(warnings) == 1
+        assert "does not follow" in warnings[0]
+
+    def test_kill_between_delta_write_and_manifest_flip(self, tmp_path,
+                                                        monkeypatch):
+        directory = tmp_path / "session"
+        session = run_session(CHAIN_BATCHES[:-1], str(directory))
+        committed = session_state(session)
+        links = chain_links(session)
+
+        def killed(self):
+            raise KeyboardInterrupt("killed before the manifest flip")
+
+        monkeypatch.setattr(DetectionIndex, "_flush_manifest", killed)
+        with pytest.raises(KeyboardInterrupt):
+            session.add_batch(CHAIN_BATCHES[-1])
+        monkeypatch.undo()
+        index, _ = reopen(directory)
+        # The delta reached the disk; the published manifest never
+        # named it.
+        assert len(index.status()["orphan_segments"]) == 1
+        assert [index.manifest["segments"]["session"]] \
+            + index.manifest["session_deltas"] == links
+
+        restored = open_session(str(directory))
+        assert restored.restored is True
+        assert session_state(restored) == committed
+        restored.add_batch(CHAIN_BATCHES[-1])
+        assert session_state(restored) \
+            == session_state(run_session(CHAIN_BATCHES))

@@ -20,7 +20,7 @@ shapes (heavy ties, tiny positive sets, inverted separability).
 import math
 import random
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.decision import (ThreeWayCalibration, calibrate_three_way,
@@ -29,6 +29,9 @@ from repro.decision import (ThreeWayCalibration, calibrate_three_way,
 from repro.eval import evaluate_bands
 
 scores_strategy = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+#: A sample whose seed-0 fit split is all tied although the sample is not.
+TIED_FIT_SPLIT = ([0.0] * 7 + [1.0], [True] * 4 + [False] * 4)
 
 
 @st.composite
@@ -130,6 +133,7 @@ class TestCalibrateThreeWay:
            fpr=st.sampled_from([0.05, 0.1, 0.25]),
            seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=60, deadline=None)
+    @example(sample=TIED_FIT_SPLIT, fpr=0.05, seed=0)
     def test_band_is_ordered_and_fpr_guarded(self, sample, fpr, seed):
         scores, labels = sample
         calibration = calibrate_or_assume(scores, labels, fpr=fpr,
@@ -145,6 +149,7 @@ class TestCalibrateThreeWay:
     @given(sample=labelled_sample(min_positives=4, min_negatives=4),
            seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=60, deadline=None)
+    @example(sample=TIED_FIT_SPLIT, seed=0)
     def test_deterministic_and_permutation_invariant(self, sample, seed):
         scores, labels = sample
         first = calibrate_or_assume(scores, labels, seed=seed)

@@ -43,6 +43,15 @@ class TestSampleFaults:
                                 [True, False, True, False])
         assert "all scores are tied" in str(excinfo.value)
 
+    def test_tied_fit_split_itemized_with_seed_hint(self):
+        """The whole sample separates, but the seeded fit split is tied."""
+        with pytest.raises(DetectionError) as excinfo:
+            calibrate_three_way([0.0] * 7 + [1.0], [True] * 4 + [False] * 4,
+                                seed=0)
+        message = str(excinfo.value)
+        assert "fit split has no two distinct scores" in message
+        assert "try more labelled pairs or another seed" in message
+
     def test_single_element_sample_itemized(self):
         with pytest.raises(DetectionError) as excinfo:
             calibrate_three_way([0.9], [True])
