@@ -72,7 +72,7 @@ class XmlFileSource:
 
     Passing one of these to a streaming detector (instead of XML text or
     a parsed document) keeps even the raw bytes out of memory: key
-    generation reads the file through the chunked scanner.
+    generation reads the file through the parser's chunked tokenizer.
     """
 
     def __init__(self, path, chunk_size: int = DEFAULT_CHUNK_SIZE):

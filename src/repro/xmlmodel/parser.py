@@ -12,15 +12,30 @@ Two entry points are provided:
 The grammar covered is the subset needed for data-centric XML: elements,
 attributes (single- or double-quoted), character data, comments, CDATA
 sections, processing instructions, an optional XML declaration and DOCTYPE
-(both skipped), and the five predefined entities plus decimal/hexadecimal
-character references.  Namespace prefixes are kept verbatim as part of tag
-names.  Errors raise :class:`~repro.errors.XmlParseError` with line/column
-information.
+(both skipped), and the five predefined entities plus XML 1.0 decimal and
+hexadecimal character references.  Namespace prefixes are kept verbatim as
+part of tag names.  Errors raise :class:`~repro.errors.XmlParseError` with
+line/column information.
+
+Every entry point runs one tokenizer: a compiled master pattern (character
+data | start tag with its attributes | end tag | CDATA | comment | PI)
+matched against a buffer.  :func:`parse` and :func:`iter_events` hand it the
+whole text as one chunk; :func:`parse_file`, :func:`iter_events_file` and
+:func:`iter_events_stream` refill it through ``read(chunk_size)``.  A token
+that may continue past the end of the buffer is matched again after a
+refill, and a refill first drops the consumed prefix and then appends at
+least as much input as is still unconsumed, so a construct longer than a
+chunk is re-scanned O(log n) times.  Memory therefore stays proportional to
+the chunk size plus the largest single construct (one text node, comment,
+or tag).  Line and column are computed from the absolute offset only when
+an error is raised, so every read path reports the same location.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
+from functools import partial
 from typing import NamedTuple
 
 from ..errors import XmlParseError
@@ -34,24 +49,67 @@ _PREDEFINED_ENTITIES = {
     "quot": '"',
 }
 
-_NAME_START_EXTRA = "_:"
-_NAME_EXTRA = "_:.-"
+# ``[\w.:-]`` is exactly ``str.isalnum()`` plus ``_:.-``.  ``\w`` also
+# admits name-start characters that ``_is_name_start`` rejects (``1``,
+# ``²``, ``½``), so every name's first character is checked separately.
+# XML whitespace is ``[ \t\r\n]``: ``\s`` would also admit ``\xa0``.
+_NAME = re.compile(r"[\w.:-]+")
+_SPACES = re.compile(r"[ \t\r\n]*")
+
+# One attribute with its name and value captured, and a run of them
+# without captures (the master pattern's start-tag group).
+_ATTRIBUTE = re.compile(
+    r"""[ \t\r\n]*([\w.:-]+)[ \t\r\n]*=[ \t\r\n]*(?:"([^"]*)"|'([^']*)')""")
+_ATTRIBUTES = r"""(?:[ \t\r\n]*[\w.:-]+[ \t\r\n]*=[ \t\r\n]*(?:"[^"]*"|'[^']*'))*"""
+_ATTRIBUTE_RUN = re.compile(_ATTRIBUTES)
+
+# Group 1: character data.  Start tag: 2 name, 3 attributes, 4 the "/"
+# of an empty element.  5: end-tag name.  6: CDATA content.  A comment
+# or processing instruction matches with no group (``lastindex`` None).
+# The look-ahead stops a start-tag name giving characters to an attribute.
+_TOKEN = re.compile(
+    r"([^<]+)"
+    r"|<([\w.:-]+)(?![\w.:-])(" + _ATTRIBUTES + r")[ \t\r\n]*(/?)>"
+    r"|</([\w.:-]+)[ \t\r\n]*>"
+    r"|<!\[CDATA\[(.*?)\]\]>"
+    r"|<!--.*?-->"
+    r"|<\?.*?\?>",
+    re.DOTALL)
+
+_REFERENCE = re.compile(r"&([^;]*);")
+_CHARACTER_REFERENCE = re.compile(r"#([0-9]+)|#x([0-9a-fA-F]+)")
+_BRACKETS = re.compile(r"[<>]")
+
+# Where the tokenizer stands while no element is open.
+_PROLOG, _BEFORE_ROOT, _AFTER_ROOT = range(3)
 
 
 def _is_name_start(char: str) -> bool:
-    return char.isalpha() or char in _NAME_START_EXTRA
-
-
-def _is_name_char(char: str) -> bool:
-    return char.isalnum() or char in _NAME_EXTRA
+    return char.isalpha() or char in "_:"
 
 
 def is_xml_name(text: str) -> bool:
     """True iff ``text`` is a name this parser would accept — including
     namespace-prefixed names like ``db:movie``."""
-    if not text or not _is_name_start(text[0]):
-        return False
-    return all(_is_name_char(char) for char in text[1:])
+    return (_NAME.fullmatch(text) is not None
+            and _is_name_start(text[0]))
+
+
+def _character(entity: str) -> str | None:
+    """The character ``&entity;`` refers to, or None unless ``entity`` is
+    ``#[0-9]+`` or ``#x[0-9a-fA-F]+`` naming an XML 1.0 ``Char``."""
+    reference = _CHARACTER_REFERENCE.fullmatch(entity)
+    if reference is None:
+        return None
+    decimal, hexadecimal = reference.groups()
+    digits = (decimal or hexadecimal).lstrip("0") or "0"
+    if len(digits) > 7:  # past U+10FFFF in either base
+        return None
+    code = int(digits, 10 if decimal else 16)
+    if (code in (0x9, 0xA, 0xD) or 0x20 <= code <= 0xD7FF
+            or 0xE000 <= code <= 0xFFFD or 0x10000 <= code <= 0x10FFFF):
+        return chr(code)
+    return None
 
 
 class XmlEvent(NamedTuple):
@@ -65,309 +123,268 @@ class XmlEvent(NamedTuple):
     value: object
 
 
-class _Scanner:
-    """Character scanner with line/column tracking."""
-
-    def __init__(self, data: str):
-        self.data = data
-        self.pos = 0
-        self.length = len(data)
-
-    def location(self) -> tuple[int, int]:
-        """1-based (line, column) of the current position."""
-        line = self.data.count("\n", 0, self.pos) + 1
-        last_newline = self.data.rfind("\n", 0, self.pos)
-        column = self.pos - last_newline
-        return line, column
-
-    def error(self, message: str) -> XmlParseError:
-        line, column = self.location()
-        return XmlParseError(message, line=line, column=column)
-
-    def at_end(self) -> bool:
-        return self.pos >= self.length
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.data[index] if index < self.length else ""
-
-    def advance(self, count: int = 1) -> None:
-        self.pos += count
-
-    def match(self, literal: str) -> bool:
-        """Consume ``literal`` if it appears at the current position."""
-        if self.data.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str) -> None:
-        if not self.match(literal):
-            raise self.error(f"expected {literal!r}")
-
-    def skip_whitespace(self) -> None:
-        while self.pos < self.length and self.data[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def read_until(self, terminator: str) -> str:
-        """Read up to (not including) ``terminator``; consume the terminator."""
-        index = self.data.find(terminator, self.pos)
-        if index < 0:
-            raise self.error(f"unterminated construct, expected {terminator!r}")
-        chunk = self.data[self.pos:index]
-        self.pos = index + len(terminator)
-        return chunk
-
-    def read_name(self) -> str:
-        start = self.pos
-        if self.at_end() or not _is_name_start(self.data[self.pos]):
-            raise self.error("expected an XML name")
-        self.pos += 1
-        while self.pos < self.length and _is_name_char(self.data[self.pos]):
-            self.pos += 1
-        return self.data[start:self.pos]
-
-    def read_text(self) -> str:
-        """Read raw character data up to (not including) the next ``<``.
-
-        Stops at end of input if no markup follows; the ``<`` itself is
-        left unconsumed.
-        """
-        index = self.data.find("<", self.pos)
-        if index < 0:
-            chunk = self.data[self.pos:]
-            self.pos = self.length
-        else:
-            chunk = self.data[self.pos:index]
-            self.pos = index
-        return chunk
-
-
 DEFAULT_CHUNK_SIZE = 64 * 1024
 
+# ``XmlEvent(kind, value)`` without the Python-level ``__new__`` frame.
+_event = partial(tuple.__new__, XmlEvent)
 
-class _ChunkedScanner:
-    """Scanner over a text file handle holding a bounded window in memory.
 
-    Implements the same protocol as :class:`_Scanner` but never slurps the
-    whole input: at most ``chunk_size`` characters are requested per read,
-    and the consumed prefix of the buffer is discarded as scanning
-    advances, so memory stays proportional to ``chunk_size`` plus the
-    largest single construct (one text node, comment, or attribute value).
-    Line/column tracking is kept absolute across discarded prefixes.
+class _Tokenizer:
+    """The parser: a master pattern matched against a refillable buffer.
+
+    With ``read`` None the whole input is ``text`` and nothing is read;
+    otherwise ``read(chunk_size)`` supplies the input, and an empty
+    string marks its end.
     """
 
-    def __init__(self, handle, chunk_size: int = DEFAULT_CHUNK_SIZE):
-        self.handle = handle
+    def __init__(self, text: str = "", read=None,
+                 chunk_size: int = DEFAULT_CHUNK_SIZE):
+        self.buffer = text
+        self.read = read
         self.chunk_size = max(1, chunk_size)
-        self.buffer = ""
-        self.pos = 0
-        self.offset = 0  # absolute index of buffer[0] in the input
-        self.eof = False
-        self._newlines_before = 0   # newlines in the discarded prefix
+        self.eof = read is None
+        self.offset = 0              # absolute index of buffer[0]
+        self._newlines_before = 0    # newlines in the discarded prefix
         self._last_newline_abs = -1  # absolute index of the last one
 
-    def _discard(self) -> None:
-        """Drop the consumed prefix, keeping location tracking absolute."""
-        if self.pos == 0:
-            return
-        dropped = self.buffer[:self.pos]
-        count = dropped.count("\n")
-        if count:
-            self._newlines_before += count
-            self._last_newline_abs = self.offset + dropped.rfind("\n")
-        self.offset += self.pos
-        self.buffer = self.buffer[self.pos:]
-        self.pos = 0
-
-    def _fill(self, ahead: int = 1) -> None:
-        """Buffer at least ``ahead`` characters past ``pos`` if available."""
-        while not self.eof and len(self.buffer) - self.pos < ahead:
-            if self.pos > self.chunk_size:
-                self._discard()
-            chunk = self.handle.read(self.chunk_size)
-            if chunk:
-                self.buffer += chunk
-            else:
+    def refill(self, pos: int) -> None:
+        """Drop ``buffer[:pos]``, then read until at least as much input
+        as is left unconsumed has been appended (one read at least), or
+        the input ends."""
+        buffer = self.buffer
+        dropped = buffer.count("\n", 0, pos)
+        if dropped:
+            self._newlines_before += dropped
+            self._last_newline_abs = self.offset + buffer.rfind("\n", 0, pos)
+        self.offset += pos
+        parts = [buffer[pos:]]
+        wanted = max(1, len(parts[0]))
+        while wanted > 0:
+            chunk = self.read(self.chunk_size)
+            if not chunk:
                 self.eof = True
-
-    def location(self) -> tuple[int, int]:
-        """1-based (line, column) of the current position."""
-        line = self._newlines_before + self.buffer.count("\n", 0, self.pos) + 1
-        last_rel = self.buffer.rfind("\n", 0, self.pos)
-        last_abs = (self.offset + last_rel if last_rel >= 0
-                    else self._last_newline_abs)
-        return line, (self.offset + self.pos) - last_abs
-
-    def error(self, message: str) -> XmlParseError:
-        line, column = self.location()
-        return XmlParseError(message, line=line, column=column)
-
-    def at_end(self) -> bool:
-        self._fill(1)
-        return self.pos >= len(self.buffer)
-
-    def peek(self, offset: int = 0) -> str:
-        self._fill(offset + 1)
-        index = self.pos + offset
-        return self.buffer[index] if index < len(self.buffer) else ""
-
-    def advance(self, count: int = 1) -> None:
-        self.pos += count
-
-    def match(self, literal: str) -> bool:
-        self._fill(len(literal))
-        if self.buffer.startswith(literal, self.pos):
-            self.pos += len(literal)
-            return True
-        return False
-
-    def expect(self, literal: str) -> None:
-        if not self.match(literal):
-            raise self.error(f"expected {literal!r}")
-
-    def skip_whitespace(self) -> None:
-        while True:
-            while self.pos < len(self.buffer) \
-                    and self.buffer[self.pos] in " \t\r\n":
-                self.pos += 1
-            if self.pos < len(self.buffer) or self.eof:
-                return
-            self._fill(1)
-            if self.pos >= len(self.buffer):
-                return
-
-    def read_until(self, terminator: str) -> str:
-        parts: list[str] = []
-        keep = len(terminator) - 1
-        while True:
-            self._fill(len(terminator))
-            index = self.buffer.find(terminator, self.pos)
-            if index >= 0:
-                parts.append(self.buffer[self.pos:index])
-                self.pos = index + len(terminator)
-                return "".join(parts)
-            if self.eof:
-                raise self.error(
-                    f"unterminated construct, expected {terminator!r}")
-            # Keep a terminator-straddling suffix, release the rest.
-            split = max(self.pos, len(self.buffer) - keep)
-            parts.append(self.buffer[self.pos:split])
-            self.pos = split
-            self._discard()
-
-    def read_name(self) -> str:
-        self._fill(1)
-        if self.pos >= len(self.buffer) \
-                or not _is_name_start(self.buffer[self.pos]):
-            raise self.error("expected an XML name")
-        parts = [self.buffer[self.pos]]
-        self.pos += 1
-        while True:
-            if self.pos >= len(self.buffer):
-                self._fill(1)
-                if self.pos >= len(self.buffer):
-                    break
-            char = self.buffer[self.pos]
-            if not _is_name_char(char):
                 break
-            parts.append(char)
-            self.pos += 1
-        return "".join(parts)
+            parts.append(chunk)
+            wanted -= len(chunk)
+        self.buffer = "".join(parts)
 
-    def read_text(self) -> str:
-        parts: list[str] = []
+    def error(self, message: str, index: int) -> XmlParseError:
+        """An error located at ``buffer[index]`` (1-based line/column)."""
+        buffer = self.buffer
+        line = self._newlines_before + buffer.count("\n", 0, index) + 1
+        last = buffer.rfind("\n", 0, index)
+        if last < 0:
+            last = self._last_newline_abs - self.offset
+        return XmlParseError(message, line=line, column=index - last)
+
+    def decode(self, raw: str, at: int) -> str:
+        """Replace the references in ``raw``; errors are located at ``at``."""
+        def replace(reference: re.Match) -> str:
+            entity = reference.group(1)
+            char = _PREDEFINED_ENTITIES.get(entity)
+            if char is None:
+                if not entity.startswith("#"):
+                    raise self.error(f"unknown entity &{entity};", at)
+                char = _character(entity)
+                if char is None:
+                    raise self.error(f"bad character reference &{entity};", at)
+            return char
+
+        decoded = _REFERENCE.sub(replace, raw)
+        if "&" in raw[raw.rfind(";") + 1:]:
+            raise self.error("unterminated entity reference", at)
+        return decoded
+
+    def attributes(self, start: int, end: int) -> dict[str, str]:
+        """The attributes spelt by ``buffer[start:end]``, checked in order."""
+        attributes: dict[str, str] = {}
+        for attribute in _ATTRIBUTE.finditer(self.buffer, start, end):
+            name, value, single = attribute.groups()
+            if not _is_name_start(name[0]):
+                raise self.error("expected an XML name", attribute.start(1))
+            if name in attributes:
+                raise self.error(f"duplicate attribute {name!r}", attribute.end())
+            if value is None:
+                value = single
+            attributes[name] = (self.decode(value, attribute.end())
+                                if "&" in value else value)
+        return attributes
+
+    def events(self) -> Iterator[XmlEvent]:
+        """Yield the events of the input, raising at its first error."""
+        buffer, pos, eof = self.buffer, 0, self.eof
+        size = len(buffer)
+        match = _TOKEN.match
+        stack: list[str] = []
+        stage = _PROLOG
         while True:
-            self._fill(1)
-            index = self.buffer.find("<", self.pos)
-            if index >= 0:
-                parts.append(self.buffer[self.pos:index])
-                self.pos = index
-                return "".join(parts)
-            parts.append(self.buffer[self.pos:])
-            self.pos = len(self.buffer)
-            if self.eof:
-                return "".join(parts)
-            self._discard()
+            token = match(buffer, pos)
+            if token is None:
+                if pos < size:
+                    skipped = self.unmatched(pos, stage, bool(stack))
+                    if skipped is not None:
+                        pos = skipped
+                        continue
+                elif eof:
+                    if stack:
+                        raise self.error(
+                            f"unexpected end of input inside <{stack[-1]}>", pos)
+                    if stage != _AFTER_ROOT:
+                        raise self.error("document has no root element", pos)
+                    return
+                self.refill(pos)
+                buffer, pos, eof = self.buffer, 0, self.eof
+                size = len(buffer)
+                continue
+            kind = token.lastindex
+            end = token.end()
 
+            if kind == 1:  # character data
+                if end == size and not eof:
+                    self.refill(pos)  # it may go on past the buffer
+                    buffer, pos, eof = self.buffer, 0, self.eof
+                    size = len(buffer)
+                    continue
+                text = token.group(1)
+                if stack:
+                    if "&" in text:
+                        text = self.decode(text, end)
+                    yield _event(("text", text))
+                elif stage == _AFTER_ROOT:
+                    stray = len(text) - len(text.lstrip(" \t\r\n"))
+                    if stray < len(text):
+                        raise self.error("content after the root element",
+                                         pos + stray)
+                elif text.strip():
+                    raise self.error("character data outside the root element", end)
+                elif text.strip(" \t\r\n"):
+                    stage = _BEFORE_ROOT  # other whitespace ends the prolog
 
-def _decode_entities(raw: str, scanner) -> str:
-    """Replace entity and character references in ``raw``."""
-    if "&" not in raw:
-        return raw
-    parts: list[str] = []
-    index = 0
-    while True:
-        amp = raw.find("&", index)
-        if amp < 0:
-            parts.append(raw[index:])
-            break
-        parts.append(raw[index:amp])
-        semi = raw.find(";", amp + 1)
-        if semi < 0:
-            raise scanner.error("unterminated entity reference")
-        entity = raw[amp + 1:semi]
-        if entity.startswith("#x") or entity.startswith("#X"):
-            try:
-                parts.append(chr(int(entity[2:], 16)))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{entity};") from None
-        elif entity.startswith("#"):
-            try:
-                parts.append(chr(int(entity[1:])))
-            except ValueError:
-                raise scanner.error(f"bad character reference &{entity};") from None
-        elif entity in _PREDEFINED_ENTITIES:
-            parts.append(_PREDEFINED_ENTITIES[entity])
-        else:
-            raise scanner.error(f"unknown entity &{entity};")
-        index = semi + 1
-    return "".join(parts)
+            elif kind == 4:  # start tag
+                name, attributes, empty = token.group(2, 3, 4)
+                if stage == _AFTER_ROOT:
+                    raise self.error("content after the root element", pos)
+                if not _is_name_start(name[0]):
+                    raise self.error("expected an XML name", pos + 1)
+                attributes = (self.attributes(token.start(3), token.end(3))
+                              if attributes else {})
+                yield _event(("start", (name, attributes)))
+                if empty:
+                    yield _event(("end", name))
+                    if not stack:
+                        stage = _AFTER_ROOT
+                else:
+                    stack.append(name)
 
+            elif kind == 5:  # end tag
+                name = token.group(5)
+                if not stack or name != stack[-1]:
+                    if stage == _AFTER_ROOT:
+                        raise self.error("content after the root element", pos)
+                    if not _is_name_start(name[0]):
+                        raise self.error("expected an XML name", pos + 2)
+                    if not stack:
+                        raise self.error(
+                            f"closing tag </{name}> with no open element", end)
+                    raise self.error(f"mismatched closing tag </{name}>, "
+                                     f"expected </{stack[-1]}>", end)
+                stack.pop()
+                yield _event(("end", name))
+                if not stack:
+                    stage = _AFTER_ROOT
 
-def _read_attributes(scanner) -> dict[str, str]:
-    attributes: dict[str, str] = {}
-    while True:
-        scanner.skip_whitespace()
-        char = scanner.peek()
-        if char in (">", "/", "?", ""):
-            return attributes
-        name = scanner.read_name()
-        scanner.skip_whitespace()
-        scanner.expect("=")
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in ("'", '"'):
-            raise scanner.error("attribute value must be quoted")
-        scanner.advance()
-        value = scanner.read_until(quote)
-        if name in attributes:
-            raise scanner.error(f"duplicate attribute {name!r}")
-        attributes[name] = _decode_entities(value, scanner)
+            elif kind == 6:  # CDATA
+                if not stack:
+                    if stage == _AFTER_ROOT:
+                        raise self.error("content after the root element", pos)
+                    raise self.error("CDATA outside the root element",
+                                     pos + len("<![CDATA["))
+                yield _event(("text", token.group(6)))
 
+            pos = end  # comments and processing instructions are skipped
 
-def _skip_prolog_and_misc(scanner) -> None:
-    """Skip the XML declaration, DOCTYPE, comments, and PIs before the root."""
-    while True:
-        scanner.skip_whitespace()
-        if scanner.match("<?"):
-            scanner.read_until("?>")
-        elif scanner.match("<!--"):
-            scanner.read_until("-->")
-        elif scanner.match("<!DOCTYPE"):
-            # Consume until the matching '>' (internal subsets use brackets).
+    def unmatched(self, pos: int, stage: int, inside: bool) -> int | None:
+        """Deal with the ``<`` at ``pos`` that no token matched.
+
+        Returns the position after a skipped DOCTYPE, or None when more
+        input may still complete the construct; otherwise raises the
+        error the construct holds, located where reading it would fail.
+        """
+        buffer, eof = self.buffer, self.eof
+        size = len(buffer)
+        if not eof and size - pos < len("<![CDATA["):
+            return None  # it could still open any construct
+        misc = not inside and stage != _BEFORE_ROOT  # DOCTYPE allowed here
+        if buffer.startswith("<!--", pos):
+            terminator, opener = "-->", 4
+        elif buffer.startswith("<?", pos):
+            terminator, opener = "?>", 2
+        elif misc and buffer.startswith("<!DOCTYPE", pos):
+            # Skip to the matching '>' (internal subsets nest brackets).
             depth = 1
-            while depth:
-                if scanner.at_end():
-                    raise scanner.error("unterminated DOCTYPE")
-                char = scanner.peek()
-                if char == "<":
-                    depth += 1
-                elif char == ">":
-                    depth -= 1
-                scanner.advance()
+            for bracket in _BRACKETS.finditer(buffer, pos + len("<!DOCTYPE")):
+                depth += 1 if bracket.group() == "<" else -1
+                if not depth:
+                    return bracket.end()
+            if not eof:
+                return None
+            raise self.error("unterminated DOCTYPE", size)
+        elif stage == _AFTER_ROOT:
+            raise self.error("content after the root element", pos)
+        elif buffer.startswith("<![CDATA[", pos):
+            if not inside:
+                raise self.error("CDATA outside the root element",
+                                 pos + len("<![CDATA["))
+            terminator, opener = "]]>", len("<![CDATA[")
+        elif buffer.startswith("</", pos):
+            name = _NAME.match(buffer, pos + 2)
+            if name is None or not _is_name_start(buffer[pos + 2]):
+                raise self.error("expected an XML name", pos + 2)
+            close = _SPACES.match(buffer, name.end()).end()
+            if close == size and not eof:
+                return None
+            raise self.error("expected '>'", close)
         else:
-            return
+            return self.unmatched_start_tag(pos)
+        if not eof:
+            return None
+        raise self.error(f"unterminated construct, expected {terminator!r}",
+                         pos + opener)
+
+    def unmatched_start_tag(self, pos: int) -> None:
+        """Raise the error of the start tag at ``pos``, or return None
+        when more input may still complete it."""
+        buffer, eof = self.buffer, self.eof
+        size = len(buffer)
+        name = _NAME.match(buffer, pos + 1)
+        if name is None or not _is_name_start(buffer[pos + 1]):
+            raise self.error("expected an XML name", pos + 1)
+        attributes = _ATTRIBUTE_RUN.match(buffer, name.end())
+        self.attributes(name.end(), attributes.end())
+        index = _SPACES.match(buffer, attributes.end()).end()
+        char = buffer[index:index + 1]
+        if char and char not in ">/?":
+            # The attribute starting here is malformed or incomplete.
+            name = _NAME.match(buffer, index)
+            if name is None or not _is_name_start(char):
+                raise self.error("expected an XML name", index)
+            index = _SPACES.match(buffer, name.end()).end()
+            if index == size and not eof:
+                return None
+            if not buffer.startswith("=", index):
+                raise self.error("expected '='", index)
+            index = _SPACES.match(buffer, index + 1).end()
+            if index == size and not eof:
+                return None
+            if index == size or buffer[index] not in "'\"":
+                raise self.error("attribute value must be quoted", index)
+            if not eof:
+                return None  # the closing quote is not buffered yet
+            raise self.error("unterminated construct, expected "
+                             f"{buffer[index]!r}", index + 1)
+        if not eof and (not char or (char == "/" and index + 1 == size)):
+            return None
+        raise self.error("expected '>'", index)
 
 
 def iter_events(data: str) -> Iterator[XmlEvent]:
@@ -377,7 +394,7 @@ def iter_events(data: str) -> Iterator[XmlEvent]:
     passed through verbatim.  Whitespace-only text between elements is
     still reported; consumers decide whether it is significant.
     """
-    return _scan_events(_Scanner(data))
+    return _Tokenizer(data).events()
 
 
 def iter_events_stream(handle,
@@ -388,84 +405,7 @@ def iter_events_stream(handle,
     only a bounded window is buffered, so event streams over files much
     larger than memory are actually incremental.
     """
-    return _scan_events(_ChunkedScanner(handle, chunk_size))
-
-
-def _scan_events(scanner) -> Iterator[XmlEvent]:
-    _skip_prolog_and_misc(scanner)
-    if scanner.at_end():
-        raise scanner.error("document has no root element")
-
-    open_tags: list[str] = []
-    started = False
-    while True:
-        if scanner.at_end():
-            if open_tags:
-                raise scanner.error(f"unexpected end of input inside <{open_tags[-1]}>")
-            if not started:
-                raise scanner.error("document has no root element")
-            return
-
-        if scanner.peek() != "<":
-            raw = scanner.read_text()
-            if open_tags:
-                yield XmlEvent("text", _decode_entities(raw, scanner))
-            elif raw.strip():
-                raise scanner.error("character data outside the root element")
-            continue
-
-        if scanner.match("<!--"):
-            scanner.read_until("-->")
-            continue
-        if scanner.match("<![CDATA["):
-            if not open_tags:
-                raise scanner.error("CDATA outside the root element")
-            yield XmlEvent("text", scanner.read_until("]]>"))
-            continue
-        if scanner.match("<?"):
-            scanner.read_until("?>")
-            continue
-        if scanner.match("</"):
-            name = scanner.read_name()
-            scanner.skip_whitespace()
-            scanner.expect(">")
-            if not open_tags:
-                raise scanner.error(f"closing tag </{name}> with no open element")
-            expected = open_tags.pop()
-            if name != expected:
-                raise scanner.error(f"mismatched closing tag </{name}>, expected </{expected}>")
-            yield XmlEvent("end", name)
-            if not open_tags:
-                # After the root closes, only misc content may follow.
-                _skip_prolog_and_misc(scanner)
-                scanner.skip_whitespace()
-                if not scanner.at_end():
-                    raise scanner.error("content after the root element")
-                return
-            continue
-
-        # Start tag.
-        scanner.expect("<")
-        if not started and open_tags:
-            raise scanner.error("internal parser state error")  # pragma: no cover
-        name = scanner.read_name()
-        attributes = _read_attributes(scanner)
-        scanner.skip_whitespace()
-        if scanner.match("/>"):
-            yield XmlEvent("start", (name, attributes))
-            yield XmlEvent("end", name)
-            started = True
-            if not open_tags:
-                _skip_prolog_and_misc(scanner)
-                scanner.skip_whitespace()
-                if not scanner.at_end():
-                    raise scanner.error("content after the root element")
-                return
-            continue
-        scanner.expect(">")
-        open_tags.append(name)
-        started = True
-        yield XmlEvent("start", (name, attributes))
+    return _Tokenizer(read=handle.read, chunk_size=chunk_size).events()
 
 
 def parse(data: str) -> XmlDocument:

@@ -1,5 +1,8 @@
 """Unit tests for the from-scratch XML parser (DOM and streaming)."""
 
+import io
+import re
+
 import pytest
 
 from repro.errors import XmlParseError
@@ -106,6 +109,21 @@ class TestParseErrors:
         with pytest.raises(XmlParseError):
             parse(bad)
 
+    @pytest.mark.parametrize("reference", [
+        "&#6_5;", "&#+65;", "&# 65;", "&#65 ;", "&#x 41 ;", "&#X41;", "&#x;",
+        "&#xD800;", "&#0;", "&#x110000;", "&#" + "9" * 5000 + ";",
+    ])
+    def test_character_references_follow_xml_1_0(self, reference):
+        with pytest.raises(XmlParseError, match="^bad character reference "
+                           + re.escape(reference)):
+            parse(f"<a>{reference}</a>")
+        with pytest.raises(XmlParseError, match="^bad character reference"):
+            parse(f"<a t='{reference}'/>")
+
+    def test_largest_and_padded_character_references(self):
+        doc = parse("<a>&#x10FFFF;&#0000065;&#x000042;&#9;</a>")
+        assert doc.root.text == "\U0010ffffAB\t"
+
     def test_error_carries_location(self):
         with pytest.raises(XmlParseError) as info:
             parse("<a>\n  <b></c>\n</a>")
@@ -114,6 +132,42 @@ class TestParseErrors:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(XmlParseError):
             parse("<a/>junk")
+
+
+class TestErrorLocations:
+    """Every read path reports the same error at the same place."""
+
+    CASES = [
+        pytest.param("<a>" + "z" * 200 + "\n  <!-- unterminated",
+                     "unterminated construct, expected '-->'", 2, 7,
+                     id="comment"),
+        pytest.param("<a>\n  <b></c>\n</a>",
+                     "mismatched closing tag </c>, expected </b>", 2, 10,
+                     id="mismatch"),
+        pytest.param("<a>\n  <b x=1/>\n</a>",
+                     "attribute value must be quoted", 2, 8, id="unquoted"),
+        pytest.param("<a>\n  <b a='1' a='2'/>\n</a>",
+                     "duplicate attribute 'a'", 2, 17, id="duplicate"),
+        pytest.param("<a>\n  <b>&unknown;</b>\n</a>",
+                     "unknown entity &unknown;", 2, 15, id="entity"),
+        pytest.param("<?xml version='1.0'?>\n<!DOCTYPE a [\n"
+                     "  <!ELEMENT a (#PCDATA)>\n",
+                     "unterminated DOCTYPE", 4, 1, id="doctype"),
+    ]
+
+    @pytest.mark.parametrize("chunk_size", [None, 1, 3, 16, 64])
+    @pytest.mark.parametrize("data,message,line,column", CASES)
+    def test_same_error_and_location(self, data, message, line, column,
+                                     chunk_size):
+        from repro.xmlmodel import iter_events_stream
+        if chunk_size is None:
+            events = iter_events(data)
+        else:
+            events = iter_events_stream(io.StringIO(data), chunk_size)
+        with pytest.raises(XmlParseError) as info:
+            list(events)
+        assert str(info.value) == f"{message} at line {line}, column {column}"
+        assert (info.value.line, info.value.column) == (line, column)
 
 
 class TestStreaming:
@@ -181,6 +235,22 @@ class TestChunkedReads:
         assert streamed == list(iter_events(text))
         document = parse_file(str(path), chunk_size=512)
         assert document.root.structurally_equal(parse(text).root)
+
+    @pytest.mark.parametrize("head,unit,tail", [
+        ("<a>", "text ", "</a>"),
+        ("<a><!--", "note ", "--></a>"),
+        ("<a v='", "value", "'/>"),
+    ], ids=["text", "comment", "attribute"])
+    def test_construct_larger_than_many_chunks(self, head, unit, tail):
+        """A 4 MB construct at 1 KiB chunks: refills that re-scanned the
+        construct once per chunk would take minutes here."""
+        from repro.xmlmodel import iter_events_stream
+        data = head + unit * 800_000 + tail
+        chunk_size = 1024
+        reader = self._CountingReader(io.StringIO(data))
+        assert list(iter_events_stream(reader, chunk_size)) \
+            == list(iter_events(data))
+        assert 0 < reader.max_read <= chunk_size
 
     def test_tiny_chunk_size_still_correct(self, tmp_path):
         from repro.xmlmodel import iter_events_file
