@@ -241,7 +241,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                           workers=getattr(args, "workers", None),
                           phi_cache_dir=getattr(args, "phi_cache_dir", None),
                           batch_compare=batch_compare,
-                          execution_plane=getattr(args, "plane", None),
                           index_dir=getattr(args, "index", None),
                           stream=(True if stream else None),
                           spill_dir=getattr(args, "spill_dir", None),
@@ -555,15 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "prefilters, reused DP rows); identical pairs "
                              "and clusters; default: the configuration's "
                              "'batchCompare' attribute")
-    detect.add_argument("--plane", default=None, dest="plane",
-                        choices=("auto", "serial", "threads", "shm"),
-                        help="execution backend for the window passes: "
-                             "'serial' in-process, 'threads' a warm thread "
-                             "pool, 'shm' a warm process pool fed through "
-                             "shared-memory segments, 'auto' serial for one "
-                             "worker and shm otherwise; identical pairs and "
-                             "clusters on every backend; default: the "
-                             "configuration's 'executionPlane' attribute")
     detect.add_argument("--index", default=None, metavar="DIR",
                         help="persist run state (GK tables, per-candidate "
                              "pairs and stats) to a detection index in DIR; "

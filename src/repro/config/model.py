@@ -25,55 +25,48 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigError
 from ..keys import KeyDefinition, KeyPart, parse_pattern
+from ..similarity.plan import DEFAULT_PHI_CACHE_SIZE
 from ..xpath import Path, parse_path
 
+# The defaults of every config knob are defined here, once; the modules
+# that consume a knob (repro.core.execution, repro.core.spill,
+# repro.core.blocking, ...) import them from this module, which sits
+# below repro.core.  The φ memo size (entries, LRU; 0 disables it) is
+# the comparison plane's own default.
 DEFAULT_WINDOW_SIZE = 5
 DEFAULT_OD_THRESHOLD = 0.65
 DEFAULT_DESC_THRESHOLD = 0.3
 DEFAULT_DUPLICATE_THRESHOLD = 0.65
-# Size of the shared φ memo cache the comparison plane uses (entries,
-# LRU).  0 disables memoization.  Kept here rather than imported from
-# repro.similarity so the config layer stays dependency-free.
-DEFAULT_PHI_CACHE_SIZE = 32768
-# Worker processes for the detection phase (1 = serial) and the table
-# size below which a candidate always runs serially (process start-up
-# and row pickling dwarf the comparison work on small tables).  Kept
-# here rather than imported from repro.core.parallel for the same
-# dependency-freedom reason as above.
+# Worker processes for the detection phase (1 = serial, 2+ = the
+# shared-memory plane) and the table size below which a candidate
+# always runs serially (process start-up and row pickling dwarf the
+# comparison work on small tables).
 DEFAULT_WORKERS = 1
 DEFAULT_PARALLEL_MIN_ROWS = 64
-# Execution-plane selection and its shared-memory transport.  "auto"
-# picks the serial backend for one worker and the shared-memory backend
-# otherwise; "serial"/"threads"/"shm" force a backend.  Candidate
-# payloads below DEFAULT_SHARED_MEMORY_MIN_BYTES ship inline with the
-# worker tasks instead of through a shared-memory segment.  Kept here
-# rather than imported from repro.core.execution for the same
-# dependency-freedom reason as above.
-DEFAULT_EXECUTION_PLANE = "auto"
+# The shared-memory transport: warm worker pools persist across runs,
+# and candidate payloads below DEFAULT_SHARED_MEMORY_MIN_BYTES ship
+# inline with the worker tasks instead of through a shared-memory
+# segment.
 DEFAULT_WORKER_POOL_PERSIST = True
 DEFAULT_SHARED_MEMORY_MIN_BYTES = 65536
 # Detection index: a directory where per-run state (GK tables,
 # confirmed pairs, incremental session state) persists across
 # process restarts, making runs resumable.  None keeps all run state
 # in memory; index_persist gates the directory without forgetting the
-# path.  Kept here rather than imported from repro.core.index for the
-# same dependency-freedom reason as above.
+# path.
 DEFAULT_INDEX_PERSIST = True
 # Out-of-core streaming detection: stream_parse runs the pipeline over
 # the event stream with GK rows spilled to bounded sorted run files
 # (external merge sort) instead of in-memory tables; spill_dir names
 # the run-file directory (None resolves to <index_dir>/spill or a
 # temporary directory) and spill_max_rows bounds the rows buffered
-# before each spill.  Kept here rather than imported from
-# repro.core.spill for the same dependency-freedom reason as above.
+# before each spill.
 DEFAULT_SPILL_MAX_ROWS = 4096
 # Union-of-strategies candidate generation (repro.core.blocking): the
 # strategy names the config layer accepts, the block-size cap above
 # which a blocking strategy skips a block (one giant block is an
 # all-pairs explosion, not a neighborhood), and the MinHash/LSH shape
 # (hashes must divide evenly into bands; rows-per-band = hashes/bands).
-# Kept here rather than imported from repro.core.blocking for the same
-# dependency-freedom reason as above.
 STRATEGY_NAMES = ("window", "exact-key", "composite", "minhash-lsh")
 DEFAULT_MAX_BLOCK_SIZE = 64
 DEFAULT_MINHASH_HASHES = 64
@@ -85,8 +78,7 @@ DEFAULT_COMPOSITE_FIELDS = "0:4"
 # AUTO_DUP/REVIEW/AUTO_KEEP bands ("three-way"); decision_fpr is the
 # Neyman-Pearson false-positive-rate target for the AUTO_DUP cutoff and
 # decision_coverage the split-conformal coverage target for the REVIEW
-# band.  Kept here rather than imported from repro.decision for the
-# same dependency-freedom reason as above.
+# band.
 DECISION_MODES = ("threshold", "three-way")
 DEFAULT_DECISION_MODE = "threshold"
 DEFAULT_DECISION_FPR = 0.05
@@ -333,8 +325,6 @@ class SxnmConfig:
     ``batch_compare`` classifies each window block of pairs in one
     batched call over the comparison plane (per-string artifacts,
     column-wise prefilters, shared DP rows) instead of pair by pair.
-    ``execution_plane`` selects the execution backend ("auto" resolves
-    to serial for one worker, shared-memory otherwise);
     ``worker_pool_persist`` keeps worker pools warm across runs in the
     same process; ``shared_memory_min_bytes`` is the payload size below
     which candidates ship inline rather than via a shared segment.
@@ -369,7 +359,6 @@ class SxnmConfig:
     workers: int = DEFAULT_WORKERS
     parallel_min_rows: int = DEFAULT_PARALLEL_MIN_ROWS
     batch_compare: bool = False
-    execution_plane: str = DEFAULT_EXECUTION_PLANE
     worker_pool_persist: bool = DEFAULT_WORKER_POOL_PERSIST
     shared_memory_min_bytes: int = DEFAULT_SHARED_MEMORY_MIN_BYTES
     index_dir: str | None = None

@@ -174,10 +174,6 @@ def validate_config(config: SxnmConfig) -> list[str]:
         problems.append("workers must be >= 1 (1 runs serially)")
     if config.parallel_min_rows < 0:
         problems.append("parallel min rows must be >= 0")
-    if config.execution_plane not in ("auto", "serial", "threads", "shm"):
-        problems.append(
-            f"execution plane {config.execution_plane!r} unknown "
-            f"(expected 'auto', 'serial', 'threads', or 'shm')")
     if config.shared_memory_min_bytes < 0:
         problems.append("shared memory min bytes must be >= 0")
     if config.index_dir is not None and not str(config.index_dir).strip():
@@ -218,9 +214,13 @@ def validate_config(config: SxnmConfig) -> list[str]:
     return problems
 
 
-def ensure_valid(config: SxnmConfig) -> SxnmConfig:
-    """Raise :class:`ConfigError` listing all problems; return the config."""
-    problems = validate_config(config)
+def ensure_valid(config: SxnmConfig, problems=()) -> SxnmConfig:
+    """Raise :class:`ConfigError` listing all problems; return the config.
+
+    ``problems`` are ones a reader found before validation; they lead
+    the list.
+    """
+    problems = [*problems, *validate_config(config)]
     if problems:
         raise ConfigError("invalid configuration:\n  - " + "\n  - ".join(problems))
     return config

@@ -134,6 +134,28 @@ def _read_candidate(node: XmlElement) -> CandidateSpec:
     return spec
 
 
+def _retired_plane_problems(plane: str | None, workers: int) -> list[str]:
+    """Problems with a retired ``executionPlane`` attribute.
+
+    ``workers`` alone selects the execution plane now, so documents
+    carrying ``auto`` or ``shm`` (which earlier writers always wrote)
+    load unchanged, as does ``serial`` at one worker.  A value whose
+    meaning would change is refused rather than silently reinterpreted.
+    """
+    if plane is None or plane in ("auto", "shm") or (
+            plane == "serial" and workers <= 1):
+        return []
+    if plane == "threads":
+        reason = "the thread backend was removed"
+    elif plane == "serial":
+        reason = (f"it no longer keeps workers=\"{workers}\" in-process; "
+                  f"workers alone selects the plane")
+    else:
+        reason = "workers alone selects the plane"
+    return [f"executionPlane=\"{plane}\" is not supported ({reason}); "
+            f"remove the attribute, and set workers=\"1\" to run serially"]
+
+
 def config_from_document(document: XmlDocument) -> SxnmConfig:
     """Build and validate a configuration from a parsed XML document."""
     root = document.root
@@ -166,9 +188,6 @@ def config_from_document(document: XmlDocument) -> SxnmConfig:
         config.parallel_min_rows = parallel_min_rows
     config.batch_compare = _get_bool(root, "batchCompare",
                                      config.batch_compare)
-    execution_plane = root.get("executionPlane")
-    if execution_plane is not None:
-        config.execution_plane = execution_plane
     config.worker_pool_persist = _get_bool(root, "workerPoolPersist",
                                            config.worker_pool_persist)
     shared_memory_min_bytes = _get_int(root, "sharedMemoryMinBytes")
@@ -208,7 +227,8 @@ def config_from_document(document: XmlDocument) -> SxnmConfig:
             config.neighborhood_strategies.append(StrategySpec(name, params))
     for node in root.find_all("candidate"):
         config.add(_read_candidate(node))
-    return ensure_valid(config)
+    return ensure_valid(config, _retired_plane_problems(
+        root.get("executionPlane"), config.workers))
 
 
 def load_config(source: str) -> SxnmConfig:
@@ -271,7 +291,6 @@ def config_to_document(config: SxnmConfig) -> XmlDocument:
         "workers": str(config.workers),
         "parallelMinRows": str(config.parallel_min_rows),
         "batchCompare": "true" if config.batch_compare else "false",
-        "executionPlane": config.execution_plane,
         "sharedMemoryMinBytes": str(config.shared_memory_min_bytes),
     })
     if config.phi_cache_dir is not None:

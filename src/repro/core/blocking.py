@@ -56,9 +56,10 @@ from ..config.model import (DEFAULT_COMPOSITE_FIELDS, DEFAULT_MAX_BLOCK_SIZE,
 from ..errors import ConfigError
 from ..similarity.tokens import tokenize
 from .gk import GkRow, GkTable
+from .simmeasure import PairVerdict
 from .stages import (BOTTOM_UP, CandidateContext, FixedWindowStrategy,
                      NeighborhoodOutcome)
-from .window import window_start
+from .window import key_pass
 
 #: The prime modulus of the MinHash permutation family (2^61 - 1); the
 #: universal-hash coefficients are drawn below it from the config seed.
@@ -70,6 +71,9 @@ COUNTER_GENERATED = "generated"   # pairs the member proposed
 COUNTER_FRESH = "fresh"           # proposals no earlier member claimed
 COUNTER_COMPARED = "compared"     # fresh pairs actually compared (== fresh)
 COUNTER_DUPLICATES = "duplicates"  # compared pairs confirmed as duplicates
+
+#: The verdict a proposing window member gives every pair it sees.
+_PROPOSED = PairVerdict(0.0, None, 0.0, False)
 
 
 def _normalize(value: str) -> str:
@@ -271,8 +275,9 @@ class WindowMember:
     window passes would *compare* — every in-window predecessor pair
     per selected key, plus (under duplicate elimination) the equal-key
     anchor/member pairs with only representatives entering the window.
-    The enumeration is verdict-independent, so it can run before any
-    comparison happens.
+    It runs the window kernel itself with a classifier that records each
+    pair and confirms none, so nothing is ever skipped as known: the
+    enumeration is verdict-independent and runs before any comparison.
 
     Note the union's deduplication changes comparison *counts* relative
     to the plain multi-pass path (which re-compares unconfirmed pairs
@@ -287,45 +292,19 @@ class WindowMember:
         self.duplicate_elimination = duplicate_elimination
         self.native = FixedWindowStrategy(duplicate_elimination)
 
-    @staticmethod
-    def _window_pairs(ordered, window: int,
-                      pairs: set[tuple[int, int]]) -> None:
-        for index, row in enumerate(ordered):
-            for other_index in range(window_start(index, window), index):
-                other = ordered[other_index]
-                pairs.add((min(other.eid, row.eid),
-                           max(other.eid, row.eid)))
-
     def generate(self, ctx: CandidateContext) -> GeneratedPairs:
         generated = GeneratedPairs()
+
+        def propose(block):
+            generated.pairs.update((min(left.eid, right.eid),
+                                    max(left.eid, right.eid))
+                                   for left, right in block)
+            return [_PROPOSED] * len(block)
+
         for key_index in ctx.key_indices:
             ordered = ctx.table.sorted_by_key(key_index)
-            if self.duplicate_elimination:
-                # Mirror de_window_pass: group equal non-empty keys,
-                # anchor-compare members, window only representatives.
-                groups: dict[str, list[GkRow]] = {}
-                representatives: list[GkRow] = []
-                for row in ordered:
-                    key_value = row.keys[key_index]
-                    if not key_value:
-                        representatives.append(row)
-                        continue
-                    group = groups.get(key_value)
-                    if group is None:
-                        groups[key_value] = [row]
-                        representatives.append(row)
-                    else:
-                        group.append(row)
-                for group in groups.values():
-                    anchor = group[0]
-                    for row in group[1:]:
-                        generated.pairs.add(
-                            (min(anchor.eid, row.eid),
-                             max(anchor.eid, row.eid)))
-                self._window_pairs(representatives, ctx.window,
-                                   generated.pairs)
-            else:
-                self._window_pairs(ordered, ctx.window, generated.pairs)
+            key_pass(lambda: ordered, key_index, ctx.window, propose, set(),
+                     self.duplicate_elimination)
         return generated
 
 
@@ -451,8 +430,7 @@ class UnionStrategy:
         for pair in ctx.pairs & proposed:
             counters[owners[pair]][COUNTER_DUPLICATES] += 1
         self._record(ctx, counters)
-        return NeighborhoodOutcome(outcome.comparisons,
-                                   filtered=outcome.filtered)
+        return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .blocking import build_union_strategy
 from .engine import DetectionEngine
 from .gk import GkTable
 from .observer import EngineObserver
-from .parallel import ParallelWindowStrategy
+from .execution import ParallelWindowStrategy
 from .results import (CandidateOutcome, KeySelection,  # noqa: F401
                       PhaseTimings, SxnmResult, select_key_indices)
 from .simmeasure import Decision
@@ -99,9 +99,10 @@ class SxnmDetector:
         confirmed against one anchor and only representatives enter the
         window — fewer comparisons on heavily duplicated data.
     workers:
-        Shard the window passes across this many worker processes
-        (``repro.core.parallel``).  Pairs and clusters are bit-identical
-        to the serial run; comparison counts may rise (recorded as
+        Shard the window passes across this many worker processes on
+        the shared-memory plane (``repro.core.execution``); one worker
+        runs serially.  Pairs and clusters are bit-identical to the
+        serial run; comparison counts may rise (recorded as
         ``redundant_comparisons`` in the comparison stats).  ``None``
         (default) defers to ``config.workers``; candidates smaller than
         ``config.parallel_min_rows`` always run serially.
@@ -122,12 +123,6 @@ class SxnmDetector:
         and every non-batch stats counter are bit-identical to the
         pair-at-a-time path.  ``None`` (default) defers to
         ``config.batch_compare``.
-    execution_plane:
-        Execution backend for the window passes: ``"auto"`` (serial for
-        one worker, shared-memory otherwise), ``"serial"``,
-        ``"threads"``, or ``"shm"`` (``repro.core.execution``).  All
-        backends produce bit-identical pairs and clusters.  ``None``
-        (default) defers to ``config.execution_plane``.
     index_dir:
         Directory for the persistent detection index
         (``repro.core.index``): every completed candidate's state is
@@ -180,7 +175,6 @@ class SxnmDetector:
                  workers: int | None = None,
                  phi_cache_dir: str | None = None,
                  batch_compare: bool | None = None,
-                 execution_plane: str | None = None,
                  index_dir: str | None = None,
                  stream: bool | None = None,
                  spill_dir: str | None = None,
@@ -223,9 +217,6 @@ class SxnmDetector:
         if batch_compare is not None:
             config.batch_compare = batch_compare
         self.batch_compare = getattr(config, "batch_compare", False)
-        if execution_plane is not None:
-            config.execution_plane = execution_plane
-        self.execution_plane = getattr(config, "execution_plane", "auto")
         if index_dir is not None:
             config.index_dir = index_dir
         self.index_dir = getattr(config, "index_dir", None)
@@ -251,7 +242,7 @@ class SxnmDetector:
         elif self.stream:
             neighborhood = SpilledWindowStrategy(
                 duplicate_elimination=duplicate_elimination)
-        elif self.workers > 1 and self.execution_plane != "serial":
+        elif self.workers > 1:
             neighborhood = ParallelWindowStrategy(
                 workers=self.workers,
                 duplicate_elimination=duplicate_elimination)

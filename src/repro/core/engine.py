@@ -46,6 +46,7 @@ from .stages import (CandidateContext, ClosureStrategy, Compare,
                      DecisionPolicy, DomKeySource, FixedWindowStrategy,
                      KeySource, NeighborhoodStrategy, ThresholdPolicy,
                      UnionFindClosure, TOP_DOWN)
+from .window import CompareBlock, block_classifier, pairwise
 
 
 class DetectionEngine:
@@ -64,9 +65,8 @@ class DetectionEngine:
         More can be attached later with :meth:`add_observer`.
     workers:
         Worker count for the run's execution plane; ``None`` reads
-        ``config.workers``.  The plane itself is selected per run from
-        ``config.execution_plane`` (see
-        :func:`repro.core.execution.make_plane`).
+        ``config.workers``.  One worker runs serially, more on the
+        shared-memory plane (see :func:`repro.core.execution.make_plane`).
     use_index:
         Honor ``config.index_dir`` by persisting run state to a
         :class:`~repro.core.index.DetectionIndex`.  Wrappers that own
@@ -250,16 +250,15 @@ class DetectionEngine:
                     compare_stats = None
                     if restored["stats"] is not None:
                         compare_stats = ComparisonStats(**restored["stats"])
+                    # A resumed candidate did no window or closure work
+                    # in this run.
                     outcome = CandidateOutcome(
                         name=spec.name, cluster_set=cluster_set,
                         pairs=pairs, comparisons=restored["comparisons"],
-                        window_seconds=restored["window_seconds"],
-                        closure_seconds=restored["closure_seconds"],
+                        window_seconds=0.0, closure_seconds=0.0,
                         filtered_comparisons=restored["filtered"],
                         compare_stats=compare_stats)
                     result.outcomes[spec.name] = outcome
-                    result.timings.window += outcome.window_seconds
-                    result.timings.closure += outcome.closure_seconds
                     if emit is not None:
                         if compare_stats is not None:
                             emit.comparison_stats(spec.name, compare_stats)
@@ -277,15 +276,12 @@ class DetectionEngine:
                         emit.decision_calibrated(spec.name, calibration)
                 filtered_before = decider.filtered_comparisons
                 compare: Compare = decider.compare
-                compare_block = None
-                if getattr(self.config, "batch_compare", False):
-                    compare_block = getattr(decider, "compare_block", None)
+                classify = block_classifier(
+                    decider, getattr(self.config, "batch_compare", False))
                 if emit is not None:
-                    compare = self._instrumented(spec.name, decider.compare,
-                                                 emit)
-                    if compare_block is not None:
-                        compare_block = self._instrumented_block(
-                            spec.name, compare_block, emit)
+                    classify = self._instrumented(spec.name, classify, emit)
+                    compare = self._one_pair(self._instrumented(
+                        spec.name, pairwise(compare), emit))
 
                 key_indices = select_key_indices(
                     table, key_selection,
@@ -298,7 +294,7 @@ class DetectionEngine:
                     tables=tables, window=effective_window,
                     key_indices=key_indices, compare=compare, pairs=pairs,
                     cluster_sets=cluster_sets, emit=emit, decider=decider,
-                    compare_block=compare_block, plane=plane,
+                    classify=classify, plane=plane,
                     interned_rows=(index.interned_rows(spec.name)
                                    if tables_from_index else None))
 
@@ -347,8 +343,7 @@ class DetectionEngine:
                                   if compare_stats is not None else None)
                     committed = index.commit_candidate(
                         spec.name, pairs, neighborhood.comparisons,
-                        outcome.filtered_comparisons, window_seconds,
-                        closure_seconds, stats_dict)
+                        outcome.filtered_comparisons, stats_dict)
                     if committed and emit is not None:
                         emit.index_committed(index.directory, spec.name,
                                              len(pairs))
@@ -435,31 +430,26 @@ class DetectionEngine:
         return index
 
     @staticmethod
-    def _instrumented(candidate: str, compare: Compare,
-                      emit: ObserverGroup) -> Compare:
-        """Wrap ``compare`` to stream pair events to observers."""
-        def observed(left, right):
-            verdict = compare(left, right)
-            emit.pair_compared(candidate, left.eid, right.eid, verdict)
-            if verdict.is_duplicate:
-                emit.pair_confirmed(candidate, left.eid, right.eid)
-            return verdict
-        return observed
+    def _instrumented(candidate: str, classify: CompareBlock,
+                      emit: ObserverGroup) -> CompareBlock:
+        """Wrap a block classifier to stream pair events to observers.
 
-    @staticmethod
-    def _instrumented_block(candidate: str, compare_block,
-                            emit: ObserverGroup):
-        """Wrap a batched classifier to stream the same per-pair events.
-
-        Verdicts come back in block order, which is the order the
-        pair-at-a-time path compares in — observers see an identical
-        event stream.
+        Verdicts come back in block order, which is the order a
+        pair-at-a-time loop compares in — observers see one event
+        stream whichever classifier runs.
         """
         def observed(block):
-            verdicts = compare_block(block)
+            verdicts = classify(block)
             for (left, right), verdict in zip(block, verdicts):
                 emit.pair_compared(candidate, left.eid, right.eid, verdict)
                 if verdict.is_duplicate:
                     emit.pair_confirmed(candidate, left.eid, right.eid)
             return verdicts
         return observed
+
+    @staticmethod
+    def _one_pair(classify: CompareBlock) -> Compare:
+        """The per-pair view of a block classifier."""
+        def compare(left, right):
+            return classify([(left, right)])[0]
+        return compare

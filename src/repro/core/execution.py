@@ -1,21 +1,11 @@
-"""The ExecutionPlane: one dispatch seam for serial, threaded, and
-shared-memory window execution.
+"""The ExecutionPlane: one dispatch seam for serial and shared-memory
+window execution.
 
-Historically three code paths each re-implemented pass dispatch, stats
-merging, and cache handling: the serial ``window_pass``/``de_window_pass``
-loops, ``ParallelWindowStrategy``'s per-key ``PassTask`` fan-out, and the
-batched ``compare_block`` plane.  This module folds them onto one
-abstraction with three interchangeable backends:
+Two interchangeable backends run every comparison shape of the codebase
+through the kernels of :mod:`repro.core.window`:
 
-* :class:`SerialPlane` — the in-process reference.  Runs the unchanged
-  kernels of :mod:`repro.core.window`; every other backend is proven
-  bit-identical to it.
-* :class:`ThreadedBatchPlane` — the same shard/merge machinery over a
-  persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  Shards
-  ship inline (no pickling across processes); semantics — per-shard
-  classifier state, redundant-comparison accounting — match the process
-  backend exactly, which makes it the cheap differential harness for
-  the shard plumbing.
+* :class:`SerialPlane` — the in-process reference.  The shared-memory
+  backend is proven bit-identical to it.
 * :class:`SharedMemoryPlane` — a persistent warm
   :class:`~concurrent.futures.ProcessPoolExecutor` fed through
   :mod:`multiprocessing.shared_memory`.  The plane publishes one
@@ -30,11 +20,13 @@ abstraction with three interchangeable backends:
   through the per-process shared store, refreshed against the parent's
   segment index (see ``PhiCache.__reduce__``).
 
-The **bit-identity contract** is unchanged from the per-key fan-out:
-pairs and cluster sets equal the serial run exactly; only comparison
-counts may rise, because shards cannot see each other's confirmed
-pairs — every such re-confirmation is counted into
-``ComparisonStats.redundant_comparisons`` at merge time.
+``workers`` alone selects the backend (:func:`make_plane`): one worker
+runs serially, two or more on the shared-memory plane.
+
+The **bit-identity contract**: pairs and cluster sets equal the serial
+run exactly; only comparison counts may rise, because shards cannot see
+each other's confirmed pairs — every such re-confirmation is counted
+into ``ComparisonStats.redundant_comparisons`` at merge time.
 
 The fallback ladder lives here, once: ``workers <= 1`` → serial, table
 below ``parallel_min_rows`` → serial, unpicklable classifier → warned
@@ -52,34 +44,32 @@ import atexit
 import pickle
 import struct
 from collections import OrderedDict
-from collections.abc import Callable
-from concurrent.futures import Executor, ProcessPoolExecutor, \
-    ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import islice
 
+from ..config.model import (DEFAULT_PARALLEL_MIN_ROWS,
+                            DEFAULT_SHARED_MEMORY_MIN_BYTES)
 from ..similarity import ComparisonStats
 from ..similarity.batch import string_artifacts
 from .gk import GkRow, GkTable
 from .simmeasure import PairVerdict
-from .window import (de_window_pass, multipass, segment_window_pass,
-                     window_start)
-
-#: Tables smaller than this run serially by default — process start-up
-#: and row pickling dwarf the comparison work below it.
-DEFAULT_PARALLEL_MIN_ROWS = 64
+from .stages import BOTTOM_UP, CandidateContext, NeighborhoodOutcome
+from .window import (CompareBlock, block_classifier, de_slide, key_pass,
+                     pairwise, slide, window_start)
 
 #: Never split a pass into segments averaging fewer rows than this; a
 #: tiny segment's IPC costs more than its comparisons.
 MIN_SEGMENT_ROWS = 32
 
-#: Candidate payloads smaller than this ship inline with the shards
-#: instead of through a shared-memory segment — mapping a segment has a
-#: fixed cost that tiny tables never amortize.
-DEFAULT_SHARED_MEMORY_MIN_BYTES = 65536
-
 #: Worker-side cap on concurrently attached shared-memory segments.
 SEGMENT_MEMO_LIMIT = 4
+
+#: Pairs per classifier call when a plane evaluates an explicit pair
+#: list — bounds the per-call row materialization without starving the
+#: batch layer's column-wise prefilters.
+PAIR_BLOCK_ROWS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -90,34 +80,32 @@ SEGMENT_MEMO_LIMIT = 4
 class PassTask:
     """One shard of one key's window pass, shipped to a worker.
 
-    ``mode`` selects the kernel: ``"window"`` runs
-    :func:`~repro.core.window.segment_window_pass`, ``"de"`` runs the
-    full :func:`~repro.core.window.de_window_pass` (equal-key groups may
-    span any segment boundary, so DE passes shard per key only).
+    ``duplicate_elimination`` selects :func:`~repro.core.window.de_slide`
+    over the whole key order (equal-key runs may span any segment
+    boundary, so DE passes shard per key only); otherwise the worker
+    slides over the anchors ``[lo, hi)`` of the key order, prepending
+    their :func:`~repro.core.window.window_start` overlap.
 
     Two transports share this protocol.  *Inline* shards carry their
-    ``rows`` (a contiguous slice of the key-sorted list whose first
-    ``start`` rows are overlap) and the pre-pickled classifier.
-    *Shared-memory* shards carry only ``segment`` (the segment name) and
-    the anchor range ``[lo, hi)``; the worker attaches the segment,
-    reuses its memoized classifier, and derives the row slice from the
-    published sort index — the rows themselves never travel per shard.
+    ``rows`` (a contiguous slice of the key-sorted list, ``lo``/``hi``
+    relative to it) and the pre-pickled classifier.  *Shared-memory*
+    shards carry only ``segment`` (the segment name) and absolute
+    anchor bounds; the worker attaches the segment, reuses its memoized
+    classifier, and derives the key order from the published sort
+    index — the rows themselves never travel per shard.
 
     ``batch`` asks the worker to classify through the classifier's
-    ``compare_block`` (the batched plane) when it has one; results are
-    bit-identical either way, only the batch counters differ.
+    ``compare_block`` when it has one; results are bit-identical either
+    way, only the batch counters differ.
     """
 
     candidate: str
-    mode: str
     key_index: int
     window: int
-    rows: list[GkRow] | None
-    start: int
-    key_count: int
-    od_count: int
     comparer_pickle: bytes
     batch: bool = False
+    duplicate_elimination: bool = False
+    rows: list[GkRow] | None = None
     segment: str | None = None
     lo: int = 0
     hi: int = 0
@@ -141,10 +129,18 @@ class PassResult:
     phi_entries: dict[tuple, float] | None = None
 
 
-def _shard_outcome(task: PassTask, comparer, pairs: set[tuple[int, int]],
-                   comparisons: int, filtered_before: int,
-                   stats_before: dict | None) -> PassResult:
+def _counters(comparer) -> tuple[int, dict | None]:
+    """The classifier's filtered count and stats, before a shard runs."""
+    stats = getattr(comparer, "stats", None)
+    return (getattr(comparer, "filtered_comparisons", 0),
+            stats.as_dict() if stats is not None else None)
+
+
+def _shard_outcome(task, comparer, pairs: set[tuple[int, int]],
+                   comparisons: int, before: tuple[int, dict | None],
+                   ) -> PassResult:
     """Package one shard's deltas (stats, filters, φ spill) as a result."""
+    filtered_before, stats_before = before
     stats = getattr(comparer, "stats", None)
     stats_delta = None
     if stats is not None and stats_before is not None:
@@ -159,49 +155,51 @@ def _shard_outcome(task: PassTask, comparer, pairs: set[tuple[int, int]],
 
 
 def run_pass_task(task: PassTask) -> PassResult:
-    """Execute one shard (runs inside a worker process or thread).
+    """Execute one shard (runs inside a worker process).
 
-    Inline shards unpickle the classifier fresh per task, so its stats
-    and filtered-comparison counters start at zero and report exactly
-    this shard's work.  Shared-memory shards reuse the segment's
-    memoized classifier instead — its counters are snapshotted before
-    the kernel runs, so the reported deltas are identical while the φ
-    memo and OD caches stay warm across shards.  With a persistent φ
-    cache attached, the worker's read-only shared store collects the
-    shard's new exact scores; they are drained here into the result as
-    the shard's delta.
+    Inline shards unpickle the classifier fresh per task.  Shared-memory
+    shards reuse the segment's memoized classifier instead, keeping the
+    φ memo and OD caches warm across shards.  Either way its counters
+    are snapshotted before the kernel runs, so the reported deltas are
+    exactly this shard's work.  With a persistent φ cache attached, the
+    worker's read-only shared store collects the shard's new exact
+    scores; they are drained here into the result as the shard's delta.
     """
     if task.segment is not None:
-        return _run_segment_task(task)
-    comparer = pickle.loads(task.comparer_pickle)
-    compare = getattr(comparer, "compare", comparer)
-    compare_block = (getattr(comparer, "compare_block", None)
-                     if task.batch else None)
-    filtered_before = getattr(comparer, "filtered_comparisons", 0)
-    stats = getattr(comparer, "stats", None)
-    stats_before = stats.as_dict() if stats is not None else None
-    pairs: set[tuple[int, int]] = set()
-    if task.mode == "window":
-        comparisons = segment_window_pass(task.rows, task.window, compare,
-                                          pairs, start=task.start,
-                                          compare_block=compare_block)
-    elif task.mode == "de":
-        table = GkTable(task.candidate, task.key_count, task.od_count)
-        for row in task.rows:
-            table.add(row)
-        comparisons = de_window_pass(table, task.key_index, task.window,
-                                     compare, pairs,
-                                     compare_block=compare_block)
+        state = _segment_state(task.segment)
+        comparer = _segment_comparer(state)
+        ordered = _segment_order(state, task.key_index)
     else:
-        raise ValueError(f"unknown pass task mode {task.mode!r}")
-    return _shard_outcome(task, comparer, pairs, comparisons,
-                          filtered_before, stats_before)
+        comparer = pickle.loads(task.comparer_pickle)
+        ordered = task.rows
+    before = _counters(comparer)
+    classify = block_classifier(comparer, task.batch)
+    pairs: set[tuple[int, int]] = set()
+    if task.duplicate_elimination:
+        comparisons = de_slide(lambda: ordered, task.key_index, task.window,
+                               classify, pairs)
+    else:
+        first = window_start(task.lo, task.window)
+        comparisons = slide(islice(ordered, first, task.hi), task.window,
+                            classify, pairs, start=task.lo - first)
+    return _shard_outcome(task, comparer, pairs, comparisons, before)
 
 
-#: Pairs per compare_block call when a plane evaluates an explicit pair
-#: list — bounds the per-call row materialization without starving the
-#: batch layer's column-wise prefilters.
-PAIR_BLOCK_ROWS = 512
+def compare_pairs(pair_list: list[tuple[int, int]], row, classify: CompareBlock,
+                  pairs: set[tuple[int, int]]) -> int:
+    """Classify an explicit pair list in ``PAIR_BLOCK_ROWS`` blocks.
+
+    ``row`` maps a pair member to its GK row; each pair is compared
+    once, in list order, and confirmed ``(left eid, right eid)`` pairs
+    land in ``pairs``.  Returns the comparison count.
+    """
+    for low in range(0, len(pair_list), PAIR_BLOCK_ROWS):
+        block = [(row(left), row(right))
+                 for left, right in pair_list[low:low + PAIR_BLOCK_ROWS]]
+        for (left, right), verdict in zip(block, classify(block)):
+            if verdict.is_duplicate:
+                pairs.add((left.eid, right.eid))
+    return len(pair_list)
 
 
 @dataclass
@@ -227,30 +225,11 @@ class PairBlockTask:
 def run_pair_block_task(task: PairBlockTask) -> PassResult:
     """Execute one pair-block shard; ships back the usual deltas."""
     comparer = pickle.loads(task.comparer_pickle)
-    compare = getattr(comparer, "compare", comparer)
-    compare_block = (getattr(comparer, "compare_block", None)
-                     if task.batch else None)
-    filtered_before = getattr(comparer, "filtered_comparisons", 0)
-    stats = getattr(comparer, "stats", None)
-    stats_before = stats.as_dict() if stats is not None else None
-    rows = task.rows
+    before = _counters(comparer)
     pairs: set[tuple[int, int]] = set()
-    comparisons = 0
-    if compare_block is not None:
-        for low in range(0, len(task.pairs), PAIR_BLOCK_ROWS):
-            chunk = task.pairs[low:low + PAIR_BLOCK_ROWS]
-            block = [(rows[left], rows[right]) for left, right in chunk]
-            comparisons += len(block)
-            for (left, right), verdict in zip(chunk, compare_block(block)):
-                if verdict.is_duplicate:
-                    pairs.add((rows[left].eid, rows[right].eid))
-    else:
-        for left, right in task.pairs:
-            comparisons += 1
-            if compare(rows[left], rows[right]).is_duplicate:
-                pairs.add((rows[left].eid, rows[right].eid))
-    return _shard_outcome(task, comparer, pairs, comparisons,
-                          filtered_before, stats_before)
+    comparisons = compare_pairs(task.pairs, task.rows.__getitem__,
+                                block_classifier(comparer, task.batch), pairs)
+    return _shard_outcome(task, comparer, pairs, comparisons, before)
 
 
 # ---------------------------------------------------------------------------
@@ -292,34 +271,36 @@ def build_pass_tasks(table: GkTable, window: int, key_indices: list[int],
                      duplicate_elimination: bool, workers: int,
                      comparer_pickle: bytes,
                      segments_per_pass: int | None = None,
-                     batch: bool = False) -> list[PassTask]:
-    """All inline shards for one candidate, grouped by key in pass order.
+                     batch: bool = False,
+                     segment: str | None = None) -> list[PassTask]:
+    """All shards for one candidate, grouped by key in pass order.
 
-    The overlap arithmetic is :func:`~repro.core.window.window_start`:
-    a segment anchoring ``[low, high)`` ships the rows from the first
-    in-window predecessor of ``low`` — exactly the rows the serial loop
-    would consult for those anchors.
+    Without ``segment`` the shards are inline: a segment anchoring
+    ``[low, high)`` ships the rows from the first in-window predecessor
+    of ``low`` (:func:`~repro.core.window.window_start`) — exactly the
+    rows the serial loop would consult for those anchors.  With the
+    name of a published ``segment`` they carry anchor ranges into it.
     """
     tasks: list[PassTask] = []
+    segments = plan_segments(len(table), len(key_indices), workers,
+                             segments_per_pass)
     for key_index in key_indices:
+        ordered = table.sorted_by_key(key_index) if segment is None else None
+        shipped = dict(candidate=table.candidate_name, key_index=key_index,
+                       window=window, batch=batch, segment=segment,
+                       comparer_pickle=comparer_pickle if segment is None
+                       else b"")
         if duplicate_elimination:
-            tasks.append(PassTask(
-                candidate=table.candidate_name, mode="de",
-                key_index=key_index, window=window, rows=list(table),
-                start=0, key_count=table.key_count, od_count=table.od_count,
-                comparer_pickle=comparer_pickle, batch=batch))
+            tasks.append(PassTask(duplicate_elimination=True, rows=ordered,
+                                  **shipped))
             continue
-        ordered = table.sorted_by_key(key_index)
-        segments = plan_segments(len(ordered), len(key_indices), workers,
-                                 segments_per_pass)
-        for low, high in segment_bounds(len(ordered), segments):
+        for low, high in segment_bounds(len(table), segments):
+            if segment is not None:
+                tasks.append(PassTask(lo=low, hi=high, **shipped))
+                continue
             first = window_start(low, window)
-            tasks.append(PassTask(
-                candidate=table.candidate_name, mode="window",
-                key_index=key_index, window=window,
-                rows=ordered[first:high], start=low - first,
-                key_count=table.key_count, od_count=table.od_count,
-                comparer_pickle=comparer_pickle, batch=batch))
+            tasks.append(PassTask(rows=ordered[first:high], lo=low - first,
+                                  hi=high - first, **shipped))
     return tasks
 
 
@@ -383,7 +364,6 @@ def merge_pass_results(results: list[PassResult],
 
 
 _EXECUTORS: dict[int, ProcessPoolExecutor] = {}
-_THREAD_POOLS: dict[int, ThreadPoolExecutor] = {}
 
 
 def shared_executor(workers: int) -> ProcessPoolExecutor:
@@ -408,32 +388,11 @@ def discard_executor(workers: int) -> None:
         executor.shutdown(wait=False, cancel_futures=True)
 
 
-def shared_thread_pool(workers: int) -> ThreadPoolExecutor:
-    """The thread-pool analogue of :func:`shared_executor`."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    pool = _THREAD_POOLS.get(workers)
-    if pool is None:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        _THREAD_POOLS[workers] = pool
-    return pool
-
-
-def discard_thread_pool(workers: int) -> None:
-    """Drop (and shut down) the shared thread pool for ``workers``."""
-    pool = _THREAD_POOLS.pop(workers, None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
 def shutdown_executors() -> None:
     """Shut down every shared pool (registered to run at exit)."""
     while _EXECUTORS:
         _, executor = _EXECUTORS.popitem()
         executor.shutdown()
-    while _THREAD_POOLS:
-        _, pool = _THREAD_POOLS.popitem()
-        pool.shutdown()
 
 
 atexit.register(shutdown_executors)
@@ -501,8 +460,6 @@ def build_segment_payload(table: GkTable, key_indices: list[int],
                     artifacts[value] = string_artifacts(value)
     return {
         "candidate": table.candidate_name,
-        "key_count": table.key_count,
-        "od_count": table.od_count,
         "rows": rows,
         "orders": orders,
         "comparer": comparer_pickle,
@@ -541,7 +498,7 @@ def release_segment(segment) -> None:
 # Shared-memory segments (worker side)
 
 
-#: name → {"payload": dict, "comparer": obj|None, "table": GkTable|None,
+#: name → {"payload": dict, "comparer": obj|None,
 #:         "ordered": {key_index: [GkRow]}} — bounded per-process memo.
 _ATTACHED: OrderedDict[str, dict] = OrderedDict()
 
@@ -570,7 +527,7 @@ def _segment_state(name: str) -> dict:
     state = _ATTACHED.get(name)
     if state is None:
         state = {"payload": _attach_segment(name), "comparer": None,
-                 "table": None, "ordered": {}}
+                 "ordered": {}}
         _ATTACHED[name] = state
         while len(_ATTACHED) > SEGMENT_MEMO_LIMIT:
             _ATTACHED.popitem(last=False)
@@ -601,60 +558,49 @@ def _segment_comparer(state: dict):
     return comparer
 
 
-def _run_segment_task(task: PassTask) -> PassResult:
-    """Execute one shared-memory shard against its attached segment."""
-    state = _segment_state(task.segment)
-    payload = state["payload"]
-    comparer = _segment_comparer(state)
-    compare = getattr(comparer, "compare", comparer)
-    compare_block = (getattr(comparer, "compare_block", None)
-                     if task.batch else None)
-    filtered_before = getattr(comparer, "filtered_comparisons", 0)
-    stats = getattr(comparer, "stats", None)
-    stats_before = stats.as_dict() if stats is not None else None
-    pairs: set[tuple[int, int]] = set()
-    if task.mode == "window":
-        ordered = state["ordered"].get(task.key_index)
-        if ordered is None:
-            rows = payload["rows"]
-            ordered = [rows[i] for i in payload["orders"][task.key_index]]
-            state["ordered"][task.key_index] = ordered
-        first = window_start(task.lo, task.window)
-        comparisons = segment_window_pass(
-            ordered[first:task.hi], task.window, compare, pairs,
-            start=task.lo - first, compare_block=compare_block)
-    elif task.mode == "de":
-        table = state["table"]
-        if table is None:
-            table = GkTable(payload["candidate"], payload["key_count"],
-                            payload["od_count"])
-            for row in payload["rows"]:
-                table.add(row)
-            state["table"] = table
-        comparisons = de_window_pass(table, task.key_index, task.window,
-                                     compare, pairs,
-                                     compare_block=compare_block)
-    else:
-        raise ValueError(f"unknown pass task mode {task.mode!r}")
-    return _shard_outcome(task, comparer, pairs, comparisons,
-                          filtered_before, stats_before)
+def _segment_order(state: dict, key_index: int) -> list[GkRow]:
+    """The segment's rows in one key's published sort order (memoized)."""
+    ordered = state["ordered"].get(key_index)
+    if ordered is None:
+        rows = state["payload"]["rows"]
+        ordered = [rows[i] for i in state["payload"]["orders"][key_index]]
+        state["ordered"][key_index] = ordered
+    return ordered
 
 
 # ---------------------------------------------------------------------------
 # Relational shards (the classical SNM path through the same seam)
 
 
+#: Relational matchers answer with booleans; the window kernel reads
+#: verdicts.
+_MATCHED = PairVerdict(1.0, None, 1.0, True)
+_UNMATCHED = PairVerdict(0.0, None, 0.0, False)
+
+
+def match_classifier(matcher, batch: bool = False) -> CompareBlock:
+    """A relational matcher as a block classifier.
+
+    ``batch`` routes each block through the matcher's ``match_block``
+    (one call, decisions in block order) instead of pair by pair.
+    """
+    match = matcher.match_block if batch else pairwise(matcher)
+
+    def classify(block):
+        return [_MATCHED if matched else _UNMATCHED for matched in match(block)]
+    return classify
+
+
 @dataclass
 class RelationalShard:
     """One anchor-range shard of a relational window pass.
 
-    ``rids``/``records`` are the aligned slice of the key-sorted record
-    list whose first ``start`` entries are overlap.  The relational pass
-    has no ``skip_known`` optimization, so sharded comparison counts are
+    ``records`` is a slice of the key-sorted record list whose first
+    ``start`` entries are overlap.  The relational pass has no
+    ``skip_known`` optimization, so sharded comparison counts are
     *exactly* equal to the serial pass — not merely an upper bound.
     """
 
-    rids: list[int]
     records: list
     start: int
     window: int
@@ -664,32 +610,11 @@ class RelationalShard:
 
 def run_relational_shard(shard: RelationalShard) -> tuple[set, int]:
     """Execute one relational shard; returns ``(pairs, comparisons)``."""
-    matcher = pickle.loads(shard.matcher_pickle)
-    match_block = (getattr(matcher, "match_block", None)
-                   if shard.batch else None)
     pairs: set[tuple[int, int]] = set()
-    comparisons = 0
-    rids = shard.rids
-    records = shard.records
-    for index in range(max(shard.start, 0), len(rids)):
-        first = window_start(index, shard.window)
-        if first >= index:
-            continue
-        if match_block is not None:
-            block = [(records[other], records[index])
-                     for other in range(first, index)]
-            comparisons += len(block)
-            for other, matched in zip(range(first, index),
-                                      match_block(block)):
-                if matched:
-                    pairs.add((min(rids[other], rids[index]),
-                               max(rids[other], rids[index])))
-            continue
-        for other in range(first, index):
-            comparisons += 1
-            if matcher(records[other], records[index]):
-                pairs.add((min(rids[other], rids[index]),
-                           max(rids[other], rids[index])))
+    classify = match_classifier(pickle.loads(shard.matcher_pickle),
+                                shard.batch)
+    comparisons = slide(shard.records, shard.window, classify, pairs,
+                        start=shard.start, skip_known=False)
     return pairs, comparisons
 
 
@@ -697,24 +622,16 @@ def run_relational_shard(shard: RelationalShard) -> tuple[set, int]:
 # The plane abstraction
 
 
-@dataclass
-class PlaneOutcome:
-    """What one candidate's neighborhood phase cost through the plane."""
-
-    comparisons: int
-    filtered: int = 0
-
-
 class ExecutionPlane:
-    """Common surface of the three execution backends.
+    """Common surface of the execution backends.
 
     One plane instance serves one detection run (the engine builds it
     from the config via :func:`make_plane`); :meth:`open_run` announces
     it to the observers and :meth:`finish_run` releases any resources a
     non-persistent backend holds.  Strategies call :meth:`multipass`
-    (the fixed/DE multi-pass window), :meth:`grouped_pass` (top-down
-    parent-grouped windows), or :meth:`relational_pass` (the classical
-    SNM) — the three comparison shapes of the codebase.
+    (the fixed/DE multi-pass window), :meth:`pairs_pass` (explicit pair
+    lists) or :meth:`relational_pass` (the classical SNM).  This base
+    runs them in-process.
     """
 
     name = "serial"
@@ -735,137 +652,66 @@ class ExecutionPlane:
     def finish_run(self) -> None:
         """Release per-run resources (non-persistent pools)."""
 
-    # -- the three comparison shapes ------------------------------------
+    # -- the comparison shapes ------------------------------------------
 
     def multipass(self, ctx, duplicate_elimination: bool = False,
-                  ) -> PlaneOutcome:
+                  ) -> NeighborhoodOutcome:
         """One window (or DE) pass per selected key, serially."""
         total = 0
         for key_index in ctx.key_indices:
             ctx.pass_started(key_index)
-            if duplicate_elimination:
-                comparisons = de_window_pass(
-                    ctx.table, key_index, ctx.window, ctx.compare, ctx.pairs,
-                    compare_block=ctx.compare_block)
-            else:
-                comparisons = segment_window_pass(
-                    ctx.table.sorted_by_key(key_index), ctx.window,
-                    ctx.compare, ctx.pairs, start=0,
-                    compare_block=ctx.compare_block)
+            ordered = ctx.table.sorted_by_key(key_index)
+            comparisons = key_pass(lambda: ordered, key_index, ctx.window,
+                                   ctx.classify, ctx.pairs,
+                                   duplicate_elimination)
             ctx.pass_finished(key_index, comparisons)
             total += comparisons
-        return PlaneOutcome(total)
+        return NeighborhoodOutcome(total)
 
-    def grouped_pass(self, ctx, ordered: list[GkRow]) -> int:
-        """Window one parent-group's sorted rows (top-down traversals).
-
-        Groups are windowed sequentially *sharing* ``ctx.pairs`` — a
-        pair confirmed in an earlier group is skipped, exactly the
-        historical semantics — so every backend runs them in-process to
-        preserve exact comparison counts.
-        """
-        return segment_window_pass(ordered, ctx.window, ctx.compare,
-                                   ctx.pairs, start=0,
-                                   compare_block=ctx.compare_block)
-
-    def relational_pass(self, sorted_rids: list[int], relation, window: int,
-                        matcher, match_block,
-                        pairs: set[tuple[int, int]]) -> int:
-        """One classical-SNM window pass over key-sorted record ids."""
-        shard = RelationalShard(
-            rids=sorted_rids,
-            records=[relation[rid] for rid in sorted_rids],
-            start=0, window=window, matcher_pickle=b"",
-            batch=match_block is not None)
-        # Serial execution never round-trips the matcher through pickle.
-        shard_pairs, comparisons = _run_relational_inline(
-            shard, matcher, match_block)
-        pairs |= shard_pairs
-        return comparisons
+    def relational_pass(self, records: list, window: int, matcher,
+                        batch: bool, pairs: set[tuple[int, int]]) -> int:
+        """One classical-SNM window pass over key-sorted records."""
+        return slide(records, window, match_classifier(matcher, batch),
+                     pairs, skip_known=False)
 
     def pairs_pass(self, ctx, pair_list: list[tuple[int, int]],
-                   ) -> PlaneOutcome:
+                   ) -> NeighborhoodOutcome:
         """Compare an explicit candidate-pair list (union strategies).
 
         ``pair_list`` holds normalized ``(low_eid, high_eid)`` pairs,
         already deduplicated by the caller; each is compared exactly
         once, in list order, and confirmed duplicates land in
-        ``ctx.pairs``.  The fourth comparison shape of the codebase —
-        what :mod:`repro.core.blocking` generates.
+        ``ctx.pairs`` — what :mod:`repro.core.blocking` generates.
         """
-        comparisons = 0
-        row = ctx.table.row
-        if ctx.compare_block is not None:
-            for low in range(0, len(pair_list), PAIR_BLOCK_ROWS):
-                chunk = pair_list[low:low + PAIR_BLOCK_ROWS]
-                block = [(row(left), row(right)) for left, right in chunk]
-                comparisons += len(block)
-                for pair, verdict in zip(chunk, ctx.compare_block(block)):
-                    if verdict.is_duplicate:
-                        ctx.pairs.add(pair)
-            return PlaneOutcome(comparisons)
-        compare = ctx.compare
-        for left, right in pair_list:
-            comparisons += 1
-            if compare(row(left), row(right)).is_duplicate:
-                ctx.pairs.add((left, right))
-        return PlaneOutcome(comparisons)
-
-
-def _run_relational_inline(shard: RelationalShard, matcher,
-                           match_block) -> tuple[set, int]:
-    """:func:`run_relational_shard` with live callables (serial path)."""
-    pairs: set[tuple[int, int]] = set()
-    comparisons = 0
-    rids = shard.rids
-    records = shard.records
-    for index in range(max(shard.start, 0), len(rids)):
-        first = window_start(index, shard.window)
-        if first >= index:
-            continue
-        if match_block is not None:
-            block = [(records[other], records[index])
-                     for other in range(first, index)]
-            comparisons += len(block)
-            for other, matched in zip(range(first, index),
-                                      match_block(block)):
-                if matched:
-                    pairs.add((min(rids[other], rids[index]),
-                               max(rids[other], rids[index])))
-            continue
-        for other in range(first, index):
-            comparisons += 1
-            if matcher(records[other], records[index]):
-                pairs.add((min(rids[other], rids[index]),
-                           max(rids[other], rids[index])))
-    return pairs, comparisons
+        return NeighborhoodOutcome(compare_pairs(
+            pair_list, ctx.table.row, ctx.classify, ctx.pairs))
 
 
 class SerialPlane(ExecutionPlane):
     """The in-process reference backend (the bit-identity baseline)."""
 
-    name = "serial"
-    parallel = False
-
     def __init__(self):
         super().__init__(workers=1)
 
 
-class _PoolPlane(ExecutionPlane):
-    """Shared machinery of the two pooled backends.
+class SharedMemoryPlane(ExecutionPlane):
+    """Shard execution on a persistent process pool over shared memory.
 
-    Subclasses provide :meth:`_pool` (the executor), :meth:`_discard`
-    (drop a broken pool), and :meth:`_build_shards` (the transport).
-    Everything else — the fallback ladder, the dispatch/merge protocol,
-    the observer events, the redundant-comparison and φ-spill
-    accounting — lives here exactly once.
+    Per candidate, the plane publishes one segment (see
+    :func:`build_segment_payload`) and ships shards as anchor ranges
+    into the published sort index.  Payloads below ``min_bytes`` — and
+    any candidate whose segment cannot be created — fall back to
+    inline-row shards on the same pool, so shared-memory failures never
+    change results, only transport.
     """
 
+    name = "shm"
     parallel = True
 
     def __init__(self, workers: int = 2, min_rows: int | None = None,
                  segments_per_pass: int | None = None,
-                 executor: Executor | None = None, persist: bool = True):
+                 executor: Executor | None = None, persist: bool = True,
+                 min_bytes: int | None = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         super().__init__(workers=workers)
@@ -873,26 +719,11 @@ class _PoolPlane(ExecutionPlane):
         self.segments_per_pass = segments_per_pass
         self.executor = executor
         self.persist = persist
+        self.min_bytes = (min_bytes if min_bytes is not None
+                          else DEFAULT_SHARED_MEMORY_MIN_BYTES)
         self._own_pool: Executor | None = None
+        self._segments: list = []
         self._serial = SerialPlane()
-
-    # -- backend hooks --------------------------------------------------
-
-    def _make_pool(self) -> Executor:
-        raise NotImplementedError
-
-    def _shared_pool(self) -> Executor:
-        raise NotImplementedError
-
-    def _discard_shared_pool(self) -> None:
-        raise NotImplementedError
-
-    def _build_shards(self, ctx, comparer_pickle: bytes,
-                      duplicate_elimination: bool) -> list[PassTask]:
-        raise NotImplementedError
-
-    def _release_shards(self) -> None:
-        """Free per-candidate transport resources (shm segments)."""
 
     # -- pool lifecycle -------------------------------------------------
 
@@ -900,74 +731,59 @@ class _PoolPlane(ExecutionPlane):
         if self.executor is not None:
             return self.executor
         if self.persist:
-            return self._shared_pool()
+            return shared_executor(self.workers)
         if self._own_pool is None:
-            self._own_pool = self._make_pool()
+            self._own_pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._own_pool
 
-    def _broken_pool(self) -> None:
-        if self.executor is not None:
-            return
-        if self.persist:
-            self._discard_shared_pool()
-        elif self._own_pool is not None:
-            self._own_pool.shutdown(wait=False, cancel_futures=True)
-            self._own_pool = None
+    def _gather(self, futures, warn, what: str) -> list | None:
+        """The futures' results, or ``None`` after a broken pool."""
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool as error:
+            if self.executor is None:
+                if self.persist:
+                    discard_executor(self.workers)
+                elif self._own_pool is not None:
+                    self._own_pool.shutdown(wait=False, cancel_futures=True)
+                    self._own_pool = None
+            if warn is not None:
+                warn(f"{what}: worker pool broke ({error}); retrying "
+                     f"serially")
+            return None
+
+    def _release_shards(self) -> None:
+        while self._segments:
+            release_segment(self._segments.pop())
 
     def finish_run(self) -> None:
+        self._release_shards()
         if self._own_pool is not None:
             self._own_pool.shutdown()
             self._own_pool = None
 
-    # -- the multipass ladder -------------------------------------------
+    # -- the shared ladder ----------------------------------------------
 
-    def _resolved_min_rows(self, ctx) -> int:
+    def _resolved_min_rows(self, config) -> int:
         if self.min_rows is not None:
             return self.min_rows
-        return getattr(ctx.config, "parallel_min_rows",
+        return getattr(config, "parallel_min_rows",
                        DEFAULT_PARALLEL_MIN_ROWS)
 
-    def multipass(self, ctx, duplicate_elimination: bool = False,
-                  ) -> PlaneOutcome:
-        if (self.workers <= 1 or len(ctx.table) < self._resolved_min_rows(ctx)
-                or not ctx.key_indices):
-            return self._serial.multipass(ctx, duplicate_elimination)
-
+    @staticmethod
+    def _comparer_pickle(ctx, what: str) -> bytes | None:
+        """The pickled classifier, or ``None`` (warned) when it cannot go."""
         comparer = ctx.decider if ctx.decider is not None else ctx.compare
         try:
-            comparer_pickle = pickle.dumps(comparer,
-                                           protocol=pickle.HIGHEST_PROTOCOL)
+            return pickle.dumps(comparer, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as error:  # pickle raises a zoo of types
-            ctx.warning(f"parallel neighborhood: pair classifier is not "
-                        f"picklable ({error}); running serially")
-            return self._serial.multipass(ctx, duplicate_elimination)
+            ctx.warning(f"{what}: pair classifier is not picklable "
+                        f"({error}); running serially")
+            return None
 
-        try:
-            tasks = self._build_shards(ctx, comparer_pickle,
-                                       duplicate_elimination)
-            pool = self._pool()
-            futures = []
-            dispatched = 0
-            for key_index in ctx.key_indices:
-                ctx.pass_started(key_index)
-                key_tasks = [task for task in tasks
-                             if task.key_index == key_index]
-                futures.extend(pool.submit(run_pass_task, task)
-                               for task in key_tasks)
-                dispatched += len(key_tasks)
-                ctx.pass_dispatched(key_index, len(key_tasks))
-            assert dispatched == len(tasks)
-
-            try:
-                results = [future.result() for future in futures]
-            except BrokenProcessPool as error:
-                self._broken_pool()
-                ctx.warning(f"parallel neighborhood: worker pool broke "
-                            f"({error}); retrying serially")
-                return self._serial.multipass(ctx, duplicate_elimination)
-        finally:
-            self._release_shards()
-
+    @staticmethod
+    def _merged(ctx, results: list[PassResult]) -> MergeOutcome:
+        """Union the shard results into ``ctx`` and the parent decider."""
         outcome = merge_pass_results(results, pairs=ctx.pairs)
         accepted = 0
         if outcome.phi_entries:
@@ -986,49 +802,94 @@ class _PoolPlane(ExecutionPlane):
             # for flushing, not the sum of what each worker believed it
             # spilled into its read-only copy.
             outcome.stats.phi_cache_spilled = accepted
+            parent_stats = getattr(ctx.decider, "stats", None)
+            if parent_stats is not None:
+                parent_stats.merge(outcome.stats)
+        return outcome
+
+    # -- the multipass ladder -------------------------------------------
+
+    def _shards(self, ctx, comparer_pickle: bytes,
+                duplicate_elimination: bool, batch: bool) -> list[PassTask]:
+        payload = build_segment_payload(
+            ctx.table, ctx.key_indices, comparer_pickle, batch=batch,
+            interned_rows=getattr(ctx, "interned_rows", None))
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        segment = None
+        if len(blob) >= self.min_bytes:
+            try:
+                segment = publish_segment(blob)
+            except (OSError, ValueError):
+                segment = None  # no /dev/shm, quota, …: ship inline
+        if segment is not None:
+            self._segments.append(segment)
+            ctx.segment_published(segment.name, segment.size)
+        return build_pass_tasks(
+            ctx.table, ctx.window, ctx.key_indices, duplicate_elimination,
+            self.workers, comparer_pickle,
+            segments_per_pass=self.segments_per_pass, batch=batch,
+            segment=segment.name if segment is not None else None)
+
+    def multipass(self, ctx, duplicate_elimination: bool = False,
+                  ) -> NeighborhoodOutcome:
+        if (self.workers <= 1 or not ctx.key_indices
+                or len(ctx.table) < self._resolved_min_rows(ctx.config)):
+            return self._serial.multipass(ctx, duplicate_elimination)
+        comparer_pickle = self._comparer_pickle(ctx, "parallel neighborhood")
+        if comparer_pickle is None:
+            return self._serial.multipass(ctx, duplicate_elimination)
+        try:
+            tasks = self._shards(ctx, comparer_pickle, duplicate_elimination,
+                                 getattr(ctx.config, "batch_compare", False))
+            pool = self._pool()
+            futures = []
+            for key_index in ctx.key_indices:
+                ctx.pass_started(key_index)
+                key_tasks = [task for task in tasks
+                             if task.key_index == key_index]
+                futures.extend(pool.submit(run_pass_task, task)
+                               for task in key_tasks)
+                ctx.pass_dispatched(key_index, len(key_tasks))
+            results = self._gather(futures, ctx.warning,
+                                   "parallel neighborhood")
+        finally:
+            self._release_shards()
+        if results is None:
+            return self._serial.multipass(ctx, duplicate_elimination)
+        outcome = self._merged(ctx, results)
         for key_index, comparisons, redundant in outcome.per_key:
             ctx.pass_merged(key_index, comparisons, redundant)
             ctx.pass_finished(key_index, comparisons)
-
-        parent_stats = getattr(ctx.decider, "stats", None)
-        if parent_stats is not None and outcome.stats is not None:
-            parent_stats.merge(outcome.stats)
-        return PlaneOutcome(outcome.comparisons, filtered=outcome.filtered)
+        return NeighborhoodOutcome(outcome.comparisons,
+                                   filtered=outcome.filtered)
 
     # -- the relational ladder ------------------------------------------
 
-    def relational_pass(self, sorted_rids, relation, window, matcher,
-                        match_block, pairs):
-        if self.workers <= 1 or len(sorted_rids) < self._resolved_min_rows(
-                _ConfigOnly(None)):
-            return super().relational_pass(sorted_rids, relation, window,
-                                           matcher, match_block, pairs)
+    def relational_pass(self, records, window, matcher, batch, pairs):
+        if self.workers <= 1 or len(records) < self._resolved_min_rows(None):
+            return super().relational_pass(records, window, matcher, batch,
+                                           pairs)
         try:
             matcher_pickle = pickle.dumps(matcher,
                                           protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
-            return super().relational_pass(sorted_rids, relation, window,
-                                           matcher, match_block, pairs)
-        segments = plan_segments(len(sorted_rids), 1, self.workers,
+            return super().relational_pass(records, window, matcher, batch,
+                                           pairs)
+        segments = plan_segments(len(records), 1, self.workers,
                                  self.segments_per_pass)
         shards = []
-        for low, high in segment_bounds(len(sorted_rids), segments):
+        for low, high in segment_bounds(len(records), segments):
             first = window_start(low, window)
-            rids = sorted_rids[first:high]
             shards.append(RelationalShard(
-                rids=rids, records=[relation[rid] for rid in rids],
-                start=low - first, window=window,
-                matcher_pickle=matcher_pickle,
-                batch=match_block is not None))
+                records=records[first:high], start=low - first,
+                window=window, matcher_pickle=matcher_pickle, batch=batch))
         pool = self._pool()
-        futures = [pool.submit(run_relational_shard, shard)
-                   for shard in shards]
-        try:
-            results = [future.result() for future in futures]
-        except BrokenProcessPool:
-            self._broken_pool()
-            return super().relational_pass(sorted_rids, relation, window,
-                                           matcher, match_block, pairs)
+        results = self._gather([pool.submit(run_relational_shard, shard)
+                                for shard in shards], None,
+                               "parallel relational pass")
+        if results is None:
+            return super().relational_pass(records, window, matcher, batch,
+                                           pairs)
         comparisons = 0
         for shard_pairs, shard_comparisons in results:
             pairs |= shard_pairs
@@ -1039,27 +900,21 @@ class _PoolPlane(ExecutionPlane):
 
     def pairs_pass(self, ctx, pair_list):
         if (self.workers <= 1
-                or len(pair_list) < self._resolved_min_rows(ctx)):
+                or len(pair_list) < self._resolved_min_rows(ctx.config)):
             return super().pairs_pass(ctx, pair_list)
-        comparer = ctx.decider if ctx.decider is not None else ctx.compare
-        try:
-            comparer_pickle = pickle.dumps(comparer,
-                                           protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as error:  # pickle raises a zoo of types
-            ctx.warning(f"parallel pair block: pair classifier is not "
-                        f"picklable ({error}); running serially")
+        comparer_pickle = self._comparer_pickle(ctx, "parallel pair block")
+        if comparer_pickle is None:
             return super().pairs_pass(ctx, pair_list)
         segments = plan_segments(len(pair_list), 1, self.workers,
                                  self.segments_per_pass)
         row = ctx.table.row
-        batch = ctx.compare_block is not None
+        batch = getattr(ctx.config, "batch_compare", False)
         tasks = []
         for low, high in segment_bounds(len(pair_list), segments):
-            chunk = pair_list[low:high]
             positions: dict[int, int] = {}
             rows: list[GkRow] = []
             indices: list[tuple[int, int]] = []
-            for left, right in chunk:
+            for left, right in pair_list[low:high]:
                 for eid in (left, right):
                     if eid not in positions:
                         positions[eid] = len(rows)
@@ -1069,216 +924,82 @@ class _PoolPlane(ExecutionPlane):
                 candidate=ctx.spec.name, rows=rows, pairs=indices,
                 comparer_pickle=comparer_pickle, batch=batch))
         pool = self._pool()
-        futures = [pool.submit(run_pair_block_task, task) for task in tasks]
-        try:
-            results = [future.result() for future in futures]
-        except BrokenProcessPool as error:
-            self._broken_pool()
-            ctx.warning(f"parallel pair block: worker pool broke "
-                        f"({error}); retrying serially")
+        results = self._gather([pool.submit(run_pair_block_task, task)
+                                for task in tasks], ctx.warning,
+                               "parallel pair block")
+        if results is None:
             return super().pairs_pass(ctx, pair_list)
-        outcome = merge_pass_results(results, pairs=ctx.pairs)
-        accepted = 0
-        if outcome.phi_entries:
-            parent_cache = getattr(getattr(ctx.decider, "plan", None),
-                                   "phi_cache", None)
-            parent_spill = getattr(parent_cache, "spill", None)
-            if parent_spill is not None:
-                accepted = parent_spill.record_many(outcome.phi_entries)
-        if outcome.stats is not None:
-            outcome.stats.phi_cache_spilled = accepted
-        parent_stats = getattr(ctx.decider, "stats", None)
-        if parent_stats is not None and outcome.stats is not None:
-            parent_stats.merge(outcome.stats)
-        return PlaneOutcome(outcome.comparisons, filtered=outcome.filtered)
-
-
-@dataclass
-class _ConfigOnly:
-    """Adapter giving :meth:`_resolved_min_rows` a config-ish object."""
-
-    config: object | None
-
-
-class ThreadedBatchPlane(_PoolPlane):
-    """Shard execution on a persistent thread pool, rows shipped inline.
-
-    Threads share memory, so nothing is published — but the shard
-    protocol still round-trips the classifier through pickle per task
-    (isolated counters, cold per-shard state), making this backend
-    semantically indistinguishable from the process one: same pairs,
-    same comparison counts, same redundant accounting.  Useful as the
-    differential harness for the shard machinery and on platforms where
-    process pools are unavailable.
-    """
-
-    name = "threads"
-
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-    def _shared_pool(self) -> Executor:
-        return shared_thread_pool(self.workers)
-
-    def _discard_shared_pool(self) -> None:
-        discard_thread_pool(self.workers)
-
-    def _build_shards(self, ctx, comparer_pickle, duplicate_elimination):
-        return build_pass_tasks(
-            ctx.table, ctx.window, ctx.key_indices, duplicate_elimination,
-            self.workers, comparer_pickle,
-            segments_per_pass=self.segments_per_pass,
-            batch=ctx.compare_block is not None)
-
-
-class SharedMemoryPlane(_PoolPlane):
-    """Shard execution on a persistent process pool over shared memory.
-
-    Per candidate, the plane publishes one segment (see
-    :func:`build_segment_payload`) and ships shards as anchor ranges
-    into the published sort index.  Payloads below ``min_bytes`` — and
-    any candidate whose segment cannot be created — fall back to
-    inline-row shards on the same pool, so shared-memory failures never
-    change results, only transport.
-    """
-
-    name = "shm"
-
-    def __init__(self, workers: int = 2, min_rows: int | None = None,
-                 segments_per_pass: int | None = None,
-                 executor: Executor | None = None, persist: bool = True,
-                 min_bytes: int | None = None):
-        super().__init__(workers=workers, min_rows=min_rows,
-                         segments_per_pass=segments_per_pass,
-                         executor=executor, persist=persist)
-        self.min_bytes = (min_bytes if min_bytes is not None
-                          else DEFAULT_SHARED_MEMORY_MIN_BYTES)
-        self._segments: list = []
-
-    def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def _shared_pool(self) -> Executor:
-        return shared_executor(self.workers)
-
-    def _discard_shared_pool(self) -> None:
-        discard_executor(self.workers)
-
-    def _build_shards(self, ctx, comparer_pickle, duplicate_elimination):
-        payload = build_segment_payload(
-            ctx.table, ctx.key_indices, comparer_pickle,
-            batch=ctx.compare_block is not None,
-            interned_rows=getattr(ctx, "interned_rows", None))
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        segment = None
-        if len(blob) >= self.min_bytes:
-            try:
-                segment = publish_segment(blob)
-            except (OSError, ValueError):
-                segment = None  # no /dev/shm, quota, …: ship inline
-        if segment is None:
-            return build_pass_tasks(
-                ctx.table, ctx.window, ctx.key_indices,
-                duplicate_elimination, self.workers, comparer_pickle,
-                segments_per_pass=self.segments_per_pass,
-                batch=ctx.compare_block is not None)
-        self._segments.append(segment)
-        ctx.segment_published(segment.name, segment.size)
-        batch = ctx.compare_block is not None
-        tasks: list[PassTask] = []
-        for key_index in ctx.key_indices:
-            if duplicate_elimination:
-                tasks.append(PassTask(
-                    candidate=ctx.table.candidate_name, mode="de",
-                    key_index=key_index, window=ctx.window, rows=None,
-                    start=0, key_count=ctx.table.key_count,
-                    od_count=ctx.table.od_count, comparer_pickle=b"",
-                    batch=batch, segment=segment.name))
-                continue
-            row_count = len(payload["orders"][key_index])
-            segments = plan_segments(row_count, len(ctx.key_indices),
-                                     self.workers, self.segments_per_pass)
-            for low, high in segment_bounds(row_count, segments):
-                tasks.append(PassTask(
-                    candidate=ctx.table.candidate_name, mode="window",
-                    key_index=key_index, window=ctx.window, rows=None,
-                    start=0, key_count=ctx.table.key_count,
-                    od_count=ctx.table.od_count, comparer_pickle=b"",
-                    batch=batch, segment=segment.name, lo=low, hi=high))
-        return tasks
-
-    def _release_shards(self) -> None:
-        while self._segments:
-            release_segment(self._segments.pop())
-
-    def finish_run(self) -> None:
-        self._release_shards()
-        super().finish_run()
+        outcome = self._merged(ctx, results)
+        return NeighborhoodOutcome(outcome.comparisons,
+                                   filtered=outcome.filtered)
 
 
 # ---------------------------------------------------------------------------
-# Plane selection
+# Plane selection and the sharded window stage
 
 
 def make_plane(config, workers: int | None = None) -> ExecutionPlane:
-    """Build the configured plane for one run.
-
-    ``execution_plane`` ∈ {"auto", "serial", "threads", "shm"}; "auto"
-    picks :class:`SerialPlane` for one worker and
-    :class:`SharedMemoryPlane` otherwise.  An explicitly parallel plane
-    with one worker still degrades gracefully — every pooled backend
-    falls back to serial execution per candidate.
-    """
+    """Build the plane for one run: serial for one worker, shared-memory
+    for two or more (``workers`` defaults to ``config.workers``)."""
     if workers is None:
         workers = getattr(config, "workers", 1)
-    choice = getattr(config, "execution_plane", "auto")
-    persist = getattr(config, "worker_pool_persist", True)
-    min_bytes = getattr(config, "shared_memory_min_bytes",
-                        DEFAULT_SHARED_MEMORY_MIN_BYTES)
-    if choice == "serial":
-        return SerialPlane()
-    if choice == "threads":
-        return ThreadedBatchPlane(workers=max(workers, 1), persist=persist)
-    if choice == "shm":
-        return SharedMemoryPlane(workers=max(workers, 1), persist=persist,
-                                 min_bytes=min_bytes)
     if workers <= 1:
         return SerialPlane()
-    return SharedMemoryPlane(workers=workers, persist=persist,
-                             min_bytes=min_bytes)
+    return SharedMemoryPlane(
+        workers=workers,
+        persist=getattr(config, "worker_pool_persist", True),
+        min_bytes=getattr(config, "shared_memory_min_bytes",
+                          DEFAULT_SHARED_MEMORY_MIN_BYTES))
 
 
-# ---------------------------------------------------------------------------
-# Kernel-level entry point
+class ParallelWindowStrategy:
+    """Sharded fixed/DE multi-pass window (drop-in for the serial one).
 
-
-def parallel_multipass(table: GkTable, window: int,
-                       compare: Callable[[GkRow, GkRow], PairVerdict],
-                       key_indices: list[int] | None = None,
-                       duplicate_elimination: bool = False,
-                       workers: int = 2, min_rows: int = 0,
-                       segments_per_pass: int | None = None,
-                       executor: Executor | None = None,
-                       ) -> tuple[set[tuple[int, int]], int]:
-    """Sharded :func:`~repro.core.window.multipass`; same pair set.
-
-    ``compare`` must be picklable (a module-level callable, or an object
-    with a picklable bound ``compare`` method).  ``workers <= 1`` and
-    tables below ``min_rows`` delegate to the serial kernel unchanged.
-    The returned comparison count may exceed the serial one — shards
-    cannot see each other's confirmed pairs.
+    A thin wrapper binding the engine's neighborhood stage to a
+    shared-memory execution plane.  Identical pairs and clusters to
+    :class:`~repro.core.stages.FixedWindowStrategy` — only wall-clock
+    time and comparison counts differ; the fallback ladder (one worker,
+    small tables, unpicklable classifiers, broken pools) lives in the
+    plane.  When the engine already opened a compatible shared-memory
+    plane for the run, the strategy rides it — pool, published segments
+    and all — instead of opening a second one.
     """
-    if workers <= 1 or len(table) < min_rows:
-        return multipass(table, window, compare, key_indices=key_indices,
-                         duplicate_elimination=duplicate_elimination)
-    indices = (key_indices if key_indices is not None
-               else list(range(table.key_count)))
-    comparer_pickle = pickle.dumps(compare,
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-    tasks = build_pass_tasks(table, window, indices, duplicate_elimination,
-                             workers, comparer_pickle,
-                             segments_per_pass=segments_per_pass)
-    pool = executor if executor is not None else shared_executor(workers)
-    futures = [pool.submit(run_pass_task, task) for task in tasks]
-    outcome = merge_pass_results([future.result() for future in futures])
-    return outcome.pairs, outcome.comparisons
+
+    traversal = BOTTOM_UP
+
+    def __init__(self, workers: int | None = None,
+                 duplicate_elimination: bool = False,
+                 min_rows: int | None = None,
+                 segments_per_pass: int | None = None,
+                 executor: Executor | None = None):
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.workers = workers
+        self.duplicate_elimination = duplicate_elimination
+        self.min_rows = min_rows
+        self.segments_per_pass = segments_per_pass
+        self.executor = executor
+        self._planes: dict[int, SharedMemoryPlane] = {}
+
+    def _plane_for(self, ctx: CandidateContext,
+                   workers: int) -> SharedMemoryPlane:
+        if (isinstance(ctx.plane, SharedMemoryPlane)
+                and ctx.plane.workers == workers
+                and self.min_rows is None
+                and self.segments_per_pass is None
+                and self.executor is None):
+            return ctx.plane
+        plane = self._planes.get(workers)
+        if plane is None:
+            plane = SharedMemoryPlane(
+                workers=workers, min_rows=self.min_rows,
+                segments_per_pass=self.segments_per_pass,
+                executor=self.executor)
+            self._planes[workers] = plane
+        return plane
+
+    def find_pairs(self, ctx: CandidateContext) -> NeighborhoodOutcome:
+        workers = (self.workers if self.workers is not None
+                   else getattr(ctx.config, "workers", 1))
+        return self._plane_for(ctx, max(workers, 1)).multipass(
+            ctx, duplicate_elimination=self.duplicate_elimination)

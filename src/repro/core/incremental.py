@@ -42,6 +42,7 @@ from .results import SxnmResult  # noqa: F401  (re-exported concept)
 from .simmeasure import Decision
 from .stages import (BOTTOM_UP, CandidateContext, LiveClosure,
                      NeighborhoodOutcome, ThresholdPolicy)
+from .window import CompareBlock, slide, window_start
 
 
 @dataclass
@@ -109,13 +110,45 @@ class AccumulatingKeySource:
         return {name: state.table for name, state in self.states.items()}
 
 
+def _recording(compare, confirmed: list[tuple[int, int]]) -> CompareBlock:
+    """:func:`~repro.core.window.pairwise` over ``compare``, appending
+    each confirmed pair to ``confirmed``.
+
+    Incremental blocks hold only unknown pairs, lower eid first, so the
+    duplicates are exactly the pairs the kernel adds, in its order.
+    """
+    def classify(block):
+        verdicts = []
+        for left, right in block:
+            verdict = compare(left, right)
+            if verdict.is_duplicate:
+                confirmed.append((left.eid, right.eid))
+            verdicts.append(verdict)
+        return verdicts
+    return classify
+
+
+def _visited_ranges(positions: list[int], window: int,
+                    length: int) -> list[tuple[int, int]]:
+    """Merged ``[low, high)`` anchor ranges within ``window − 1`` after
+    each of ``positions`` (sorted), clipped to ``length``."""
+    ranges: list[list[int]] = []
+    for position in positions:
+        high = min(position + window, length)
+        if ranges and position <= ranges[-1][1]:
+            ranges[-1][1] = max(ranges[-1][1], high)
+        else:
+            ranges.append([position, high])
+    return [(low, high) for low, high in ranges]
+
+
 class IncrementalNeighborhood:
     """Window only the neighborhoods touched by the current batch.
 
     New rows are merged into the persistent per-key sorted lists.  Only
     a sort position at or within ``window − 1`` after a new entry can
-    close a window holding that entry, so only those positions are
-    visited, in ascending order: the compare calls come in exactly the
+    close a window holding that entry, so only those anchor ranges are
+    slid over, in ascending order: the compare calls come in exactly the
     order a walk over the whole list makes them.  A pair whose two
     members both predate the batch is skipped — those neighborhoods
     were already examined.
@@ -129,35 +162,25 @@ class IncrementalNeighborhood:
     def find_pairs(self, ctx: CandidateContext) -> NeighborhoodOutcome:
         state = self.states[ctx.spec.name]
         new_eids = {row.eid for row in state.new_rows}
+        classify = _recording(ctx.compare, state.new_pairs)
+        row = state.table.row
         batch_comparisons = 0
         for key_index, order in enumerate(state.sorted_keys):
             ctx.pass_started(key_index)
             pass_comparisons = 0
-            entries = [(row.keys[key_index], row.eid)
-                       for row in state.new_rows]
+            entries = [(new.keys[key_index], new.eid)
+                       for new in state.new_rows]
             for entry in entries:
                 order.insert(bisect.bisect_left(order, entry), entry)
-            visit: set[int] = set()
-            for entry in entries:
-                position = bisect.bisect_left(order, entry)
-                visit.update(range(position,
-                                   min(position + ctx.window, len(order))))
-            for index in sorted(visit):
-                eid = order[index][1]
-                start = max(0, index - ctx.window + 1)
-                for other_index in range(start, index):
-                    other_eid = order[other_index][1]
-                    if eid not in new_eids and other_eid not in new_eids:
-                        continue
-                    pair = (min(other_eid, eid), max(other_eid, eid))
-                    if pair in state.pairs:
-                        continue
-                    pass_comparisons += 1
-                    verdict = ctx.compare(state.table.row(pair[0]),
-                                          state.table.row(pair[1]))
-                    if verdict.is_duplicate:
-                        state.pairs.add(pair)
-                        state.new_pairs.append(pair)
+            positions = sorted(bisect.bisect_left(order, entry)
+                               for entry in entries)
+            for low, high in _visited_ranges(positions, ctx.window,
+                                             len(order)):
+                first = window_start(low, ctx.window)
+                pass_comparisons += slide(
+                    [row(eid) for _, eid in order[first:high]], ctx.window,
+                    classify, state.pairs, start=low - first,
+                    fresh=new_eids)
             ctx.pass_finished(key_index, pass_comparisons)
             batch_comparisons += pass_comparisons
         state.comparisons += batch_comparisons
@@ -381,9 +404,9 @@ class IncrementalSxnm:
                     for position, (_, eid) in enumerate(order):
                         if eid not in removed_eids:
                             continue
-                        lo = max(0, position - (window - 1))
                         hi = min(len(order), position + window)
-                        for neighbor in range(lo, hi):
+                        for neighbor in range(window_start(position, window),
+                                              hi):
                             neighbor_eid = order[neighbor][1]
                             if neighbor_eid not in removed_eids:
                                 perturbed.add(neighbor_eid)
@@ -437,26 +460,16 @@ class IncrementalSxnm:
             return 0
         decider = self.engine.decision.decider(spec, self.config,
                                                cluster_sets, None)
-        forest = self._closure.forest(spec.name)
-        confirmed = 0
+        confirmed: list[tuple[int, int]] = []
+        classify = _recording(decider.compare, confirmed)
         for order in state.sorted_keys:
-            for index, (_, eid) in enumerate(order):
-                start = max(0, index - window + 1)
-                for other_index in range(start, index):
-                    other_eid = order[other_index][1]
-                    if eid not in perturbed and other_eid not in perturbed:
-                        continue
-                    pair = (min(other_eid, eid), max(other_eid, eid))
-                    if pair in state.pairs:
-                        continue
-                    state.comparisons += 1
-                    verdict = decider.compare(state.table.row(pair[0]),
-                                              state.table.row(pair[1]))
-                    if verdict.is_duplicate:
-                        state.pairs.add(pair)
-                        forest.union(pair[0], pair[1])
-                        confirmed += 1
-        return confirmed
+            state.comparisons += slide(
+                (state.table.row(eid) for _, eid in order), window,
+                classify, state.pairs, fresh=perturbed)
+        forest = self._closure.forest(spec.name)
+        for left, right in confirmed:
+            forest.union(left, right)
+        return len(confirmed)
 
     def update(self, eids, source: str | XmlDocument) -> dict[str, int]:
         """Replace instances: delete ``eids``, then ingest ``source``.

@@ -682,16 +682,17 @@ class DetectionIndex:
     # Per-candidate run state
 
     def commit_candidate(self, name: str, pairs, comparisons: int,
-                         filtered: int, window_seconds: float,
-                         closure_seconds: float,
-                         stats: dict | None) -> bool:
-        """Commit one candidate's completed detection state."""
+                         filtered: int, stats: dict | None) -> bool:
+        """Commit one candidate's completed detection state.
+
+        The payload holds results only, never timings, so one detection
+        always writes the same bytes under the same content-addressed
+        name.
+        """
         payload = {
             "pairs": _encode_pairs(pairs),
             "comparisons": comparisons,
             "filtered": filtered,
-            "window_seconds": window_seconds,
-            "closure_seconds": closure_seconds,
             "stats": stats,
         }
         committed = self._commit(f"run/{name}", payload)
@@ -717,8 +718,6 @@ class DetectionIndex:
                 "pairs": _decode_pairs(payload["pairs"]),
                 "comparisons": int(payload["comparisons"]),
                 "filtered": int(payload["filtered"]),
-                "window_seconds": float(payload["window_seconds"]),
-                "closure_seconds": float(payload["closure_seconds"]),
                 "stats": payload.get("stats"),
             }
         except (KeyError, TypeError, ValueError) as error:

@@ -116,7 +116,7 @@ class EngineObserver:
     def plane_opened(self, plane: str, workers: int) -> None:
         """The run's execution plane was selected and opened.
 
-        ``plane`` is the backend name ("serial"/"threads"/"shm"),
+        ``plane`` is the backend name ("serial" or "shm"),
         ``workers`` its worker count (1 for serial).  Emitted once per
         run, after ``run_started`` and before the first candidate.
         """

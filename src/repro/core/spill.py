@@ -14,15 +14,11 @@ Provable equivalence is the design constraint, not an afterthought:
   same total order as :meth:`~repro.core.gk.GkTable.sorted_by_key`
   (eids are unique, so the order has no ties) — and ``heapq.merge``
   over sorted runs reproduces that order exactly.
-* :func:`stream_window_pass` keeps a ``window - 1`` deque of
-  predecessors and compares oldest-first, which is literally the
-  ``start == 0`` loop of :func:`~repro.core.window.segment_window_pass`
-  with the ``ordered`` list virtualized.
-* :func:`stream_de_window_pass` makes two merge passes: contiguous
-  equal-key groups first (sorted order makes groups contiguous and
-  group order equal to the in-memory dict's first-occurrence order),
-  then a representative-filtered second merge that regenerates the
-  in-memory ``ordered`` list element for element.
+* The window kernels of :mod:`repro.core.window` take any iterable:
+  :func:`~repro.core.window.slide` reads the merged stream once, and
+  :func:`~repro.core.window.de_slide` replays it twice (equal-key runs
+  first, then the representatives) — the same loops an in-memory pass
+  runs over the sorted list.
 
 Run files reuse the index's durability discipline: a magic header, a
 JSON meta line carrying a SHA-256 over the payload, atomic
@@ -41,10 +37,10 @@ import json
 import os
 import shutil
 import tempfile
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 
 from ..config import CandidateSpec, SxnmConfig
+from ..config.model import DEFAULT_SPILL_MAX_ROWS
 from ..errors import DetectionError
 from ..xmlmodel import XmlDocument, XmlElement, XmlEvent, iter_events
 from ..xmlmodel.parser import DEFAULT_CHUNK_SIZE, iter_events_file
@@ -52,14 +48,11 @@ from .candidates import CandidateHierarchy
 from .gk import GkRow
 from .keygen import _extract_row, _OpenCandidate, _plain_steps
 from .stages import BOTTOM_UP, CandidateContext, NeighborhoodOutcome
-from .window import CompareBlock
+from .window import key_pass
 
 SPILL_MAGIC = "sxnm-spill"
 SPILL_VERSION = 1
 RUN_SUFFIX = ".xrun"
-
-#: Rows buffered in memory before a run spills (``spillMaxRows`` default).
-DEFAULT_SPILL_MAX_ROWS = 4096
 
 #: Maximum runs merged at once.  More runs than this are first reduced
 #: into intermediate runs, bounding merge memory (each open run holds
@@ -546,137 +539,6 @@ def spill_gk_streaming(events: Iterable[XmlEvent], config: SxnmConfig,
 
 
 # ---------------------------------------------------------------------------
-# Streamed window kernels
-
-
-def stream_window_pass(rows: Iterable[GkRow], window: int,
-                       compare, pairs: set[tuple[int, int]],
-                       compare_block: CompareBlock | None = None,
-                       skip_known: bool = True) -> int:
-    """Sliding window over a key-ordered row stream; returns comparisons.
-
-    Holds a deque of the last ``window - 1`` rows and compares each
-    arriving anchor against them oldest-first — for anchor ``i`` that is
-    exactly indices ``window_start(i, window) .. i-1``, the block
-    :func:`~repro.core.window.segment_window_pass` visits, so pair
-    order, ``skip_known`` effects, and comparison counts are identical
-    with the sorted list never materialized.
-    """
-    if window < 2:
-        raise ValueError("window size must be >= 2")
-    comparisons = 0
-    recent: deque[GkRow] = deque(maxlen=window - 1)
-    for row in rows:
-        if compare_block is not None:
-            block: list[tuple[GkRow, GkRow]] = []
-            block_pairs: list[tuple[int, int]] = []
-            for other in recent:
-                pair = (min(other.eid, row.eid), max(other.eid, row.eid))
-                if skip_known and pair in pairs:
-                    continue
-                block.append((other, row))
-                block_pairs.append(pair)
-            if block:
-                for pair, verdict in zip(block_pairs, compare_block(block)):
-                    if verdict.is_duplicate:
-                        pairs.add(pair)
-                comparisons += len(block)
-        else:
-            for other in recent:
-                pair = (min(other.eid, row.eid), max(other.eid, row.eid))
-                if skip_known and pair in pairs:
-                    continue
-                comparisons += 1
-                if compare(other, row).is_duplicate:
-                    pairs.add(pair)
-        recent.append(row)
-    return comparisons
-
-
-def _compare_group(group: list[GkRow], compare,
-                   pairs: set[tuple[int, int]],
-                   compare_block: CompareBlock | None) -> int:
-    """Anchor-vs-members comparisons for one equal-key group."""
-    anchor = group[0]
-    if compare_block is not None:
-        block: list[tuple[GkRow, GkRow]] = []
-        block_pairs: list[tuple[int, int]] = []
-        for row in group[1:]:
-            pair = (min(anchor.eid, row.eid), max(anchor.eid, row.eid))
-            if pair in pairs:
-                continue
-            block.append((anchor, row))
-            block_pairs.append(pair)
-        if block:
-            for pair, verdict in zip(block_pairs, compare_block(block)):
-                if verdict.is_duplicate:
-                    pairs.add(pair)
-        return len(block)
-    count = 0
-    for row in group[1:]:
-        pair = (min(anchor.eid, row.eid), max(anchor.eid, row.eid))
-        if pair in pairs:
-            continue
-        count += 1
-        if compare(anchor, row).is_duplicate:
-            pairs.add(pair)
-    return count
-
-
-def stream_de_window_pass(sorted_factory: Callable[[], Iterator[GkRow]],
-                          key_index: int, window: int, compare,
-                          pairs: set[tuple[int, int]],
-                          compare_block: CompareBlock | None = None) -> int:
-    """Duplicate-elimination pass over a re-playable sorted stream.
-
-    ``sorted_factory`` must return a fresh ``(key, eid)``-ordered
-    iterator each call; the pass consumes it twice.  Pass one walks
-    contiguous equal-key groups (sorted order makes every group
-    contiguous, and group order equals the in-memory dict's
-    first-occurrence order) comparing members against the group's first
-    row.  Pass two re-merges and filters to the windowed sequence —
-    empty-key rows plus each group's first row, which in sorted order
-    (empty keys sort first) reproduces the in-memory ``ordered`` list
-    exactly — and slides the streaming window over it.  The strict
-    pass-one-before-pass-two ordering preserves
-    :func:`~repro.core.window.de_window_pass`'s ``skip_known``
-    interplay, so pairs and comparison counts match bit for bit.
-    """
-    if window < 2:
-        raise ValueError("window size must be >= 2")
-    comparisons = 0
-    group: list[GkRow] = []
-    group_key: str | None = None
-    for row in sorted_factory():
-        key_value = row.keys[key_index]
-        if not key_value:
-            continue
-        if key_value == group_key:
-            group.append(row)
-            continue
-        if len(group) >= 2:
-            comparisons += _compare_group(group, compare, pairs, compare_block)
-        group = [row]
-        group_key = key_value
-    if len(group) >= 2:
-        comparisons += _compare_group(group, compare, pairs, compare_block)
-
-    def representatives() -> Iterator[GkRow]:
-        last_key: str | None = None
-        for row in sorted_factory():
-            key_value = row.keys[key_index]
-            if not key_value:
-                yield row
-            elif key_value != last_key:
-                last_key = key_value
-                yield row
-
-    comparisons += stream_window_pass(representatives(), window, compare,
-                                      pairs, compare_block=compare_block)
-    return comparisons
-
-
-# ---------------------------------------------------------------------------
 # Engine stages
 
 
@@ -796,8 +658,8 @@ class SpilledWindowStrategy:
     For spilled tables it still hands large candidates to a parallel
     plane (the facade materializes; shards reuse the same
     ``window_start`` overlap arithmetic, so results stay bit-identical)
-    and otherwise runs the constant-memory streamed kernels, emitting a
-    ``run_merged`` event per pass.
+    and otherwise runs the window kernel over the merged run streams in
+    constant memory, emitting a ``run_merged`` event per pass.
     """
 
     traversal = BOTTOM_UP
@@ -806,37 +668,24 @@ class SpilledWindowStrategy:
         self.duplicate_elimination = duplicate_elimination
 
     def _plane_worthwhile(self, ctx: CandidateContext, plane) -> bool:
-        if not getattr(plane, "parallel", False):
+        if not plane.parallel or plane.workers <= 1 or not ctx.key_indices:
             return False
-        if getattr(plane, "workers", 1) <= 1 or not ctx.key_indices:
-            return False
-        resolve = getattr(plane, "_resolved_min_rows", None)
-        if resolve is not None:
-            min_rows = resolve(ctx)
-        else:
-            min_rows = getattr(ctx.config, "parallel_min_rows", 0)
-        return len(ctx.table) >= min_rows
+        return len(ctx.table) >= plane._resolved_min_rows(ctx.config)
 
     def find_pairs(self, ctx: CandidateContext) -> NeighborhoodOutcome:
         plane = ctx.execution_plane()
         table = ctx.table
         if not getattr(table, "spilled", False) \
                 or self._plane_worthwhile(ctx, plane):
-            outcome = plane.multipass(
+            return plane.multipass(
                 ctx, duplicate_elimination=self.duplicate_elimination)
-            return NeighborhoodOutcome(outcome.comparisons, outcome.filtered)
         total = 0
         for key_index in ctx.key_indices:
             ctx.pass_started(key_index)
-            if self.duplicate_elimination:
-                comparisons = stream_de_window_pass(
-                    lambda: table.iter_sorted_by_key(key_index), key_index,
-                    ctx.window, ctx.compare, ctx.pairs,
-                    compare_block=ctx.compare_block)
-            else:
-                comparisons = stream_window_pass(
-                    table.iter_sorted_by_key(key_index), ctx.window,
-                    ctx.compare, ctx.pairs, compare_block=ctx.compare_block)
+            comparisons = key_pass(
+                lambda: table.iter_sorted_by_key(key_index), key_index,
+                ctx.window, ctx.classify, ctx.pairs,
+                self.duplicate_elimination)
             if ctx.emit is not None:
                 hook = getattr(ctx.emit, "run_merged", None)
                 if hook is not None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from ..clustering import UnionFind
 from ..config import CandidateSpec, SxnmConfig
@@ -36,13 +36,15 @@ from ..similarity import ComparisonPlan, PhiCache
 from ..xmlmodel import XmlDocument, parse
 from .candidates import CandidateHierarchy, CandidateNode
 from .clusters import ClusterSet
-from .execution import ExecutionPlane, SerialPlane
 from .gk import GkRow, GkTable
 from .keygen import generate_gk, generate_gk_streaming
 from .observer import ObserverGroup
 from .simmeasure import Decision, PairVerdict, SimilarityMeasure
 from .theory import XmlEquationalTheory
-from .window import adaptive_window_pass
+from .window import CompareBlock, adaptive_window_pass, pairwise, slide
+
+if TYPE_CHECKING:
+    from .execution import ExecutionPlane
 
 Compare = Callable[[GkRow, GkRow], PairVerdict]
 
@@ -58,16 +60,16 @@ TOP_DOWN = "top_down"
 class CandidateContext:
     """Everything a neighborhood strategy may need for one candidate.
 
-    ``compare`` is the classifier callable (possibly wrapped for
-    per-pair observer events); ``decider`` is the underlying
-    :class:`PairDecider` the decision policy built.  Strategies that
-    ship comparisons to other processes pickle ``decider`` — the
-    instrumented ``compare`` closure cannot travel.
-
-    ``compare_block`` is the batched classifier (``batchCompare``): one
-    call per anchor block, verdicts in pair order, results bit-identical
-    to ``compare``.  ``None`` when batching is off or the decider has no
-    block form; strategies fall back to ``compare`` pair by pair.
+    ``classify`` is the run's one block classifier (see
+    :func:`~repro.core.window.block_classifier`), possibly wrapped for
+    per-pair observer events: every window block goes through it.
+    ``compare`` is the per-pair classifier for the strategies that never
+    batched (all-pairs, adaptive and incremental windows); a context
+    built with ``compare`` alone classifies blocks through
+    :func:`~repro.core.window.pairwise` over it.  ``decider`` is the
+    underlying :class:`PairDecider` the decision policy built.
+    Strategies that ship comparisons to other processes pickle
+    ``decider`` — the instrumented closures cannot travel.
     """
 
     node: CandidateNode
@@ -82,8 +84,7 @@ class CandidateContext:
     cluster_sets: dict[str, ClusterSet]
     emit: ObserverGroup | None = None
     decider: PairDecider | None = None
-    compare_block: Callable[[list[tuple[GkRow, GkRow]]],
-                            list[PairVerdict]] | None = None
+    classify: CompareBlock | None = None
     #: The run's execution backend; ``None`` means run in-process.
     plane: ExecutionPlane | None = None
     #: Rows already sharing one object per distinct key/OD string —
@@ -91,9 +92,16 @@ class CandidateContext:
     #: shared-memory plane publish them without re-interning.
     interned_rows: list[GkRow] | None = None
 
+    def __post_init__(self):
+        if self.classify is None:
+            self.classify = pairwise(self.compare)
+
     def execution_plane(self) -> ExecutionPlane:
         """The backend to run this candidate on (serial when unset)."""
-        return self.plane if self.plane is not None else _SERIAL_PLANE
+        if self.plane is None:
+            from .execution import SerialPlane
+            self.plane = SerialPlane()
+        return self.plane
 
     def pass_started(self, key_index: int) -> None:
         if self.emit is not None:
@@ -131,11 +139,6 @@ class CandidateContext:
             hook = getattr(self.emit, "strategy_pairs_generated", None)
             if hook is not None:
                 hook(self.spec.name, strategy, generated, fresh)
-
-
-#: Fallback backend for contexts built without a plane (direct strategy
-#: use in tests, incremental batches).
-_SERIAL_PLANE = SerialPlane()
 
 
 @dataclass
@@ -360,9 +363,8 @@ class FixedWindowStrategy:
     pass to the DE variant where equal-key groups are confirmed against
     an anchor and only representatives enter the window.  Execution is
     delegated to the context's :class:`~repro.core.execution.ExecutionPlane`
-    — serial, threaded, or shared-memory — which owns dispatch, merge,
-    and the fallback ladder; pairs and clusters are identical on every
-    backend.
+    — serial or shared-memory — which owns dispatch, merge, and the
+    fallback ladder; pairs and clusters are identical on every backend.
     """
 
     traversal = BOTTOM_UP
@@ -371,9 +373,8 @@ class FixedWindowStrategy:
         self.duplicate_elimination = duplicate_elimination
 
     def find_pairs(self, ctx: CandidateContext) -> NeighborhoodOutcome:
-        outcome = ctx.execution_plane().multipass(
+        return ctx.execution_plane().multipass(
             ctx, duplicate_elimination=self.duplicate_elimination)
-        return NeighborhoodOutcome(outcome.comparisons, outcome.filtered)
 
 
 class AdaptiveWindowStrategy:
@@ -490,10 +491,9 @@ class ParentGroupedStrategy:
                         key_index: int) -> int:
         rows = [ctx.table.row(eid) for eid in eids]
         ordered = sorted(rows, key=lambda row: (row.keys[key_index], row.eid))
-        # A group's window is exactly one start=0 segment pass; groups
-        # share ctx.pairs sequentially, so the plane runs them
-        # in-process on every backend (see ExecutionPlane.grouped_pass).
-        return ctx.execution_plane().grouped_pass(ctx, ordered)
+        # Groups share ctx.pairs sequentially (a pair confirmed in an
+        # earlier group is skipped), so they always run in-process.
+        return slide(ordered, ctx.window, ctx.classify, ctx.pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,161 +1,252 @@
-"""The sliding-window engine of the duplicate-detection phase.
+"""The sliding-window kernel of the duplicate-detection phase.
 
-For one key of one candidate, :func:`window_pass` sorts the GK rows by
-that key and compares each row to its ``window - 1`` predecessors in key
-order, exactly the relational SNM windowing transplanted to GK tables.
+SXNM's detection phase is one loop (paper Sec. 3.4): sort the GK rows by
+a key and compare each row with its ``window - 1`` predecessors in key
+order.  This module is the only code that walks a window:
+
+* :func:`slide` — one sliding loop over any iterable of rows, holding a
+  deque of the last ``window - 1``: an in-memory sorted list, a shard
+  slice whose first ``start`` rows serve only as predecessors, a merged
+  run stream read once from disk, or the neighborhood of an incremental
+  batch (``fresh``: a pair whose members both predate the batch is
+  skipped).  Adaptive windows plug in their reach rule (``reach``).
+* :func:`de_slide` — the DE-SNM variant (Sec. 5): each run of equal
+  non-empty keys in a key-sorted, re-playable source is compared against
+  the run's first row, then :func:`slide` runs over one representative
+  per run plus every empty-key row.
+
+Every comparison goes through one *block classifier*: a callable taking
+a list of ``(left, right)`` pairs and returning one verdict per pair, in
+order.  :func:`block_classifier` builds it from a decider — its
+``compare_block`` under ``batchCompare``, otherwise :func:`pairwise`
+over its ``compare``.  A block is one anchor's unseen predecessors or
+one equal-key run: its pairs share the anchor and have distinct
+partners, so no pair confirmed inside a block could have been skipped
+by a check made mid-block, and the classifier sees exactly the pairs, in
+exactly the order, of a pair-at-a-time loop.
+
+Rows need an ``eid``; verdicts need an ``is_duplicate``.  Confirmed
+pairs are added to ``pairs`` as ``(smaller eid, larger eid)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections import deque
+from collections.abc import Callable, Container, Iterable, Sequence
+from itertools import islice, repeat
 
 from ..similarity import filtered_edit_similarity, levenshtein_similarity
 from .gk import GkRow, GkTable
 from .simmeasure import PairVerdict
 
-#: Batched classifier: one call for a block of pairs, verdicts in order.
+#: Block classifier: one call for a block of pairs, verdicts in order.
 CompareBlock = Callable[[list[tuple[GkRow, GkRow]]], list[PairVerdict]]
+
+#: Reach rule: how many of the nearest predecessors in ``recent`` the
+#: arriving row is compared with.
+Reach = Callable[[Sequence[GkRow], GkRow], int]
 
 
 def window_start(index: int, window: int) -> int:
     """First in-window predecessor index of the anchor at ``index``.
 
-    The one piece of window arithmetic everything shares: a sliding
-    window of size ``window`` compares the anchor against the up to
-    ``window - 1`` rows before it, so the block starts at
-    ``max(0, index - window + 1)``.  The overlap-shard planners reuse
-    the same expression to decide how many predecessor rows a segment
-    starting at anchor ``index`` must prepend — keeping the serial
-    window and the sharded segments provably aligned.
+    The overlap-shard planners use it to decide how many predecessor
+    rows a segment anchoring from ``index`` must prepend (passed to
+    :func:`slide` as ``start``), keeping the sharded segments aligned
+    with the serial window.
     """
     return max(0, index - window + 1)
 
 
-def _compare_window_block(row: GkRow, ordered: list[GkRow], start: int,
-                          index: int, pairs: set[tuple[int, int]],
-                          compare_block: CompareBlock,
-                          skip_known: bool = True) -> int:
-    """Compare one anchor row against its window block in a single call.
+def pairwise(compare) -> CompareBlock:
+    """The block form of a per-pair classifier: ``compare`` pair by pair."""
+    def classify(block):
+        return [compare(left, right) for left, right in block]
+    return classify
 
-    Equivalent to the pair-at-a-time loop: the anchor's window pairs
-    all share the anchor eid and have distinct predecessor eids, so no
-    pair confirmed inside the block could have been skipped by a
-    mid-block ``skip_known`` check — deferring the checks to block
-    build time changes nothing.  Returns the comparison count.
+
+def block_classifier(decider, batch: bool = False) -> CompareBlock:
+    """A decider's one block classifier.
+
+    ``compare_block`` when ``batch`` is set and the decider has one
+    (bit-identical verdicts, amortized per-string work), otherwise
+    :func:`pairwise` over ``compare``; a bare callable is its own
+    ``compare``.
+    """
+    compare_block = getattr(decider, "compare_block", None) if batch else None
+    if compare_block is not None:
+        return compare_block
+    return pairwise(getattr(decider, "compare", decider))
+
+
+def _compare(candidates, classify: CompareBlock, pairs: set[tuple[int, int]],
+             skip_known: bool, fresh: Container[int] | None) -> int:
+    """Classify the unskipped pairs of ``candidates`` as one block.
+
+    With ``fresh``, a pair with neither member in it is skipped and each
+    pair reaches the classifier lower eid first — the order incremental
+    sessions have always compared in.  Returns the comparison count.
     """
     block: list[tuple[GkRow, GkRow]] = []
-    block_pairs: list[tuple[int, int]] = []
-    for other_index in range(start, index):
-        other = ordered[other_index]
-        pair = (min(other.eid, row.eid), max(other.eid, row.eid))
-        if skip_known and pair in pairs:
+    for candidate in candidates:
+        left, right = candidate
+        if fresh is not None:
+            if left.eid not in fresh and right.eid not in fresh:
+                continue
+            if right.eid < left.eid:
+                candidate = right, left
+        if skip_known and ((left.eid, right.eid) if left.eid < right.eid
+                           else (right.eid, left.eid)) in pairs:
             continue
-        block.append((other, row))
-        block_pairs.append(pair)
-    if not block:
-        return 0
-    for pair, verdict in zip(block_pairs, compare_block(block)):
-        if verdict.is_duplicate:
-            pairs.add(pair)
+        block.append(candidate)
+    if block:
+        for (left, right), verdict in zip(block, classify(block)):
+            if verdict.is_duplicate:
+                pairs.add((left.eid, right.eid) if left.eid < right.eid
+                          else (right.eid, left.eid))
     return len(block)
+
+
+def slide(rows: Iterable[GkRow], window: int, classify: CompareBlock,
+          pairs: set[tuple[int, int]], start: int = 0,
+          skip_known: bool = True, fresh: Container[int] | None = None,
+          reach: Reach | None = None) -> int:
+    """One sliding-window pass over ``rows``; returns the comparison count.
+
+    ``rows`` is any key-ordered iterable, read once.  Each row from
+    position ``start`` on is compared with the up to ``window - 1`` rows
+    before it, oldest first, in one classifier block; the first
+    ``start`` rows serve only as predecessors.  Because each in-window
+    pair is anchored by exactly one row (the later one), contiguous
+    segments that each prepend their :func:`window_start` overlap cover
+    every adjacency of the serial pass exactly once.
+
+    With ``skip_known`` (default) pairs already in ``pairs`` are not
+    re-compared — the multi-pass method unions pair sets, so
+    re-confirming is pure waste.  ``fresh`` adds the incremental skip
+    rule (see :func:`_compare`); ``reach`` limits each row to its
+    nearest ``reach(recent, row)`` predecessors.
+    """
+    if window < 2:
+        raise ValueError("window size must be >= 2")
+    comparisons = 0
+    recent: deque[GkRow] = deque(maxlen=window - 1)
+    for position, row in enumerate(rows):
+        if position >= start and recent:
+            others = recent
+            if reach is not None:
+                others = islice(recent, len(recent) - reach(recent, row),
+                                None)
+            comparisons += _compare(zip(others, repeat(row)), classify,
+                                    pairs, skip_known, fresh)
+        recent.append(row)
+    return comparisons
+
+
+def _runs(rows: Iterable[GkRow], key_index: int):
+    """Runs of equal non-empty keys in key order (empty keys skipped)."""
+    run: list[GkRow] = []
+    for row in rows:
+        key = row.keys[key_index]
+        if not key:
+            continue
+        if run and key != run[0].keys[key_index]:
+            yield run
+            run = []
+        run.append(row)
+    if run:
+        yield run
+
+
+def _representatives(rows: Iterable[GkRow], key_index: int):
+    """Every empty-key row plus the first row of each equal-key run."""
+    previous = None
+    for row in rows:
+        key = row.keys[key_index]
+        if not key:
+            yield row
+        elif key != previous:
+            previous = key
+            yield row
+
+
+def de_slide(replay: Callable[[], Iterable[GkRow]], key_index: int,
+             window: int, classify: CompareBlock,
+             pairs: set[tuple[int, int]]) -> int:
+    """Duplicate-elimination pass (DE-SNM idea, paper Sec. 5).
+
+    ``replay`` returns a fresh ``(key, eid)``-ordered iterable each call;
+    the pass reads it twice.  First every member of a run of equal
+    non-empty keys is compared against the run's first row (equal keys
+    are the cheapest duplicates to confirm), one block per run; then the
+    window slides over the representatives only, which on heavily
+    duplicated data shrinks the windowed sequence substantially.  Rows
+    whose key is empty carry no grouping evidence: each enters the
+    window on its own and is never run-compared.  Known pairs are always
+    skipped.  Returns the comparison count.
+    """
+    if window < 2:
+        raise ValueError("window size must be >= 2")
+    comparisons = 0
+    for run in _runs(replay(), key_index):
+        comparisons += _compare(zip(repeat(run[0]), islice(run, 1, None)),
+                                classify, pairs, True, None)
+    return comparisons + slide(_representatives(replay(), key_index),
+                               window, classify, pairs)
+
+
+def key_pass(replay: Callable[[], Iterable[GkRow]], key_index: int,
+             window: int, classify: CompareBlock,
+             pairs: set[tuple[int, int]],
+             duplicate_elimination: bool = False) -> int:
+    """One key's pass over a re-playable key-sorted source, plain or DE."""
+    if duplicate_elimination:
+        return de_slide(replay, key_index, window, classify, pairs)
+    return slide(replay(), window, classify, pairs)
+
+
+# ---------------------------------------------------------------------------
+# Per-pair conveniences over an in-memory GK table
 
 
 def window_pass(table: GkTable, key_index: int, window: int,
                 compare: Callable[[GkRow, GkRow], PairVerdict],
                 pairs: set[tuple[int, int]],
-                skip_known: bool = True,
-                compare_block: CompareBlock | None = None) -> int:
-    """One sliding-window pass; returns the number of comparisons made.
-
-    Confirmed duplicate eid pairs are added to ``pairs`` (smaller eid
-    first).  With ``skip_known`` (default), pairs already confirmed by an
-    earlier pass are not re-compared — the multi-pass method unions pair
-    sets, so re-confirming is pure waste.
-
-    With ``compare_block``, each anchor row's window of predecessors is
-    classified in one batched call instead of pair by pair — identical
-    pairs and verdicts (see :func:`_compare_window_block`), amortized
-    per-string work.
-
-    A full pass is the ``start == 0`` special case of
-    :func:`segment_window_pass` (no overlap rows), so the sliding loop
-    lives there only.
-    """
-    return segment_window_pass(table.sorted_by_key(key_index), window,
-                               compare, pairs, start=0,
-                               compare_block=compare_block,
-                               skip_known=skip_known)
+                skip_known: bool = True) -> int:
+    """One sliding-window pass of ``compare``; returns the comparison count."""
+    return slide(table.sorted_by_key(key_index), window, pairwise(compare),
+                 pairs, skip_known=skip_known)
 
 
 def de_window_pass(table: GkTable, key_index: int, window: int,
                    compare: Callable[[GkRow, GkRow], PairVerdict],
-                   pairs: set[tuple[int, int]],
-                   compare_block: CompareBlock | None = None) -> int:
-    """Duplicate-elimination window pass (DE-SNM idea, paper Sec. 5).
+                   pairs: set[tuple[int, int]]) -> int:
+    """One duplicate-elimination pass of ``compare`` (see :func:`de_slide`)."""
+    ordered = table.sorted_by_key(key_index)
+    return de_slide(lambda: ordered, key_index, window, pairwise(compare),
+                    pairs)
 
-    Rows sharing an identical non-empty key are handled first: each group
-    member is compared against the group's first row only (equal keys are
-    the cheapest duplicates to confirm), and a single representative per
-    key value enters the sliding window.  On heavily duplicated data the
-    windowed list shrinks substantially.  Returns the comparison count.
 
-    Rows whose key is empty carry no grouping evidence (the key
-    generator found nothing to extract), so each one is unique: it
-    enters the window individually and is never anchor-compared.
-    """
-    if window < 2:
-        raise ValueError("window size must be >= 2")
+def multipass(table: GkTable, window: int,
+              compare: Callable[[GkRow, GkRow], PairVerdict],
+              key_indices: list[int] | None = None,
+              duplicate_elimination: bool = False,
+              ) -> tuple[set[tuple[int, int]], int]:
+    """Run one window (or DE) pass per key; returns (pairs, comparisons)."""
+    pairs: set[tuple[int, int]] = set()
     comparisons = 0
-    groups: dict[str, list[GkRow]] = {}
-    ordered: list[GkRow] = []
-    # The rows come from ``sorted_by_key``, so appending each empty-key
-    # row and each group's first row as they appear keeps ``ordered`` in
-    # (key, eid) order (groups preserve first-occurrence order too).
-    for row in table.sorted_by_key(key_index):
-        key_value = row.keys[key_index]
-        if not key_value:
-            ordered.append(row)
-            continue
-        group = groups.get(key_value)
-        if group is None:
-            groups[key_value] = [row]
-            ordered.append(row)
-        else:
-            group.append(row)
+    indices = (key_indices if key_indices is not None
+               else list(range(table.key_count)))
+    classify = pairwise(compare)
+    for key_index in indices:
+        ordered = table.sorted_by_key(key_index)
+        comparisons += key_pass(lambda: ordered, key_index, window, classify,
+                                pairs, duplicate_elimination)
+    return pairs, comparisons
 
-    for group in groups.values():
-        if len(group) < 2:
-            continue
-        anchor = group[0]
-        if compare_block is not None:
-            # One block per equal-key group: the anchor repeats, member
-            # eids are distinct — same deferred-skip argument as the
-            # window blocks.
-            block = []
-            block_pairs = []
-            for row in group[1:]:
-                pair = (min(anchor.eid, row.eid), max(anchor.eid, row.eid))
-                if pair in pairs:
-                    continue
-                block.append((anchor, row))
-                block_pairs.append(pair)
-            comparisons += len(block)
-            if block:
-                for pair, verdict in zip(block_pairs, compare_block(block)):
-                    if verdict.is_duplicate:
-                        pairs.add(pair)
-            continue
-        for row in group[1:]:
-            pair = (min(anchor.eid, row.eid), max(anchor.eid, row.eid))
-            if pair in pairs:
-                continue
-            comparisons += 1
-            if compare(anchor, row).is_duplicate:
-                pairs.add(pair)
 
-    comparisons += segment_window_pass(ordered, window, compare, pairs,
-                                       start=0, compare_block=compare_block)
-    return comparisons
+# ---------------------------------------------------------------------------
+# Adaptive windows (Lehti & Fankhauser)
 
 
 def key_similarity(left: str, right: str) -> float:
@@ -192,95 +283,17 @@ def adaptive_window_pass(table: GkTable, key_index: int,
     """
     if not 2 <= min_window <= max_window:
         raise ValueError("need 2 <= min_window <= max_window")
-    ordered = table.sorted_by_key(key_index)
-    comparisons = 0
-    for index, row in enumerate(ordered):
-        reach = 1
-        while reach < max_window and index - reach >= 0:
-            if reach >= min_window - 1:
-                predecessor = ordered[index - reach]
-                if not keys_similar(predecessor.keys[key_index],
-                                    row.keys[key_index],
-                                    key_similarity_floor):
-                    break
-            reach += 1
-        for other_index in range(max(0, index - reach + 1), index):
-            other = ordered[other_index]
-            pair = (min(other.eid, row.eid), max(other.eid, row.eid))
-            if pair in pairs:
-                continue
-            comparisons += 1
-            if compare(other, row).is_duplicate:  # type: ignore[attr-defined]
-                pairs.add(pair)
-    return comparisons
 
+    def reach(recent: Sequence[GkRow], row: GkRow) -> int:
+        key = row.keys[key_index]
+        count = 0
+        for distance in range(1, len(recent) + 1):
+            if distance >= min_window - 1 and not keys_similar(
+                    recent[-distance].keys[key_index], key,
+                    key_similarity_floor):
+                break
+            count = distance
+        return count
 
-def segment_window_pass(ordered: list[GkRow], window: int,
-                        compare: Callable[[GkRow, GkRow], PairVerdict],
-                        pairs: set[tuple[int, int]],
-                        start: int = 0,
-                        compare_block: CompareBlock | None = None,
-                        skip_known: bool = True) -> int:
-    """Sliding-window comparisons over one contiguous segment of a pass.
-
-    ``ordered`` is a slice of a key-sorted row list.  The first ``start``
-    rows are overlap carried from the preceding segment: they serve only
-    as predecessors and never anchor comparisons themselves.  Because
-    each in-window pair is anchored by exactly one row (the later one in
-    key order), splitting a sorted pass into contiguous segments that
-    each prepend their ``window - 1`` predecessor rows covers every
-    adjacency exactly once — the union of the segments' pairs equals the
-    serial pass.  With ``skip_known`` (default), pairs already in
-    ``pairs`` are skipped; confirmed eid pairs are added (smaller eid
-    first).  Returns the comparison count.
-
-    This is the one sliding loop in the codebase: a full serial pass is
-    the ``start == 0`` case (:func:`window_pass` delegates here), and
-    the shard planners in :mod:`repro.core.execution` derive their
-    overlap from the same :func:`window_start` arithmetic.
-    """
-    if window < 2:
-        raise ValueError("window size must be >= 2")
-    comparisons = 0
-    for index in range(max(start, 0), len(ordered)):
-        row = ordered[index]
-        block_start = window_start(index, window)
-        if compare_block is not None:
-            comparisons += _compare_window_block(
-                row, ordered, block_start, index, pairs, compare_block,
-                skip_known=skip_known)
-            continue
-        for other_index in range(block_start, index):
-            other = ordered[other_index]
-            pair = (min(other.eid, row.eid), max(other.eid, row.eid))
-            if skip_known and pair in pairs:
-                continue
-            comparisons += 1
-            if compare(other, row).is_duplicate:
-                pairs.add(pair)
-    return comparisons
-
-
-def multipass(table: GkTable, window: int,
-              compare: Callable[[GkRow, GkRow], PairVerdict],
-              key_indices: list[int] | None = None,
-              duplicate_elimination: bool = False,
-              compare_block: CompareBlock | None = None,
-              ) -> tuple[set[tuple[int, int]], int]:
-    """Run one window pass per key; returns (pairs, total comparisons).
-
-    With ``duplicate_elimination`` each pass uses :func:`de_window_pass`
-    instead of the plain window.  ``compare_block`` batches each pass's
-    anchor blocks (same pairs, amortized per-string work).
-    """
-    pairs: set[tuple[int, int]] = set()
-    comparisons = 0
-    indices = key_indices if key_indices is not None else list(range(table.key_count))
-    for key_index in indices:
-        if duplicate_elimination:
-            comparisons += de_window_pass(table, key_index, window, compare,
-                                          pairs, compare_block=compare_block)
-        else:
-            comparisons += window_pass(table, key_index, window, compare,
-                                       pairs, compare_block=compare_block)
-    return pairs, comparisons
+    return slide(table.sorted_by_key(key_index), max_window,
+                 pairwise(compare), pairs, reach=reach)

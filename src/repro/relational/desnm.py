@@ -14,9 +14,11 @@ from __future__ import annotations
 import time
 
 from ..clustering import transitive_closure
+from ..core.execution import match_classifier
+from ..core.window import slide
 from .matchers import Matcher
 from .record import Relation
-from .snm import RelationalKey, SnmResult, _window_pass
+from .snm import RelationalKey, SnmResult
 
 
 def duplicate_elimination_snm(relation: Relation, keys: list[RelationalKey],
@@ -62,9 +64,11 @@ def duplicate_elimination_snm(relation: Relation, keys: list[RelationalKey],
                     result.pairs.add((min(anchor, rid), max(anchor, rid)))
 
         # Stage 2: window over one representative per key value.
-        representatives = [by_key[key_value][0] for key_value in sorted_keys]
-        result.comparisons += _window_pass(representatives, relation, window,
-                                           matcher, result.pairs)
+        representatives = [relation[by_key[key_value][0]]
+                           for key_value in sorted_keys]
+        result.comparisons += slide(representatives, window,
+                                    match_classifier(matcher), result.pairs,
+                                    skip_known=False)
         result.window_seconds += time.perf_counter() - start
 
     start = time.perf_counter()

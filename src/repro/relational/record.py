@@ -18,6 +18,11 @@ class Record:
     rid: int
     fields: dict[str, str] = field(default_factory=dict)
 
+    @property
+    def eid(self) -> int:
+        """The record id under the name the window kernel reads."""
+        return self.rid
+
     def get(self, name: str, default: str = "") -> str:
         """Field value or ``default`` when the field is absent/None."""
         value = self.fields.get(name)

@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..clustering import transitive_closure
+from ..core.execution import SerialPlane
 from ..keys import parse_pattern
 from .matchers import Matcher
 from .record import Record, Relation
@@ -71,47 +72,6 @@ class SnmResult:
         return self.window_seconds + self.closure_seconds
 
 
-def _window_pass(sorted_rids: list[int], relation: Relation, window: int,
-                 matcher: Matcher, pairs: set[tuple[int, int]]) -> int:
-    """Slide a ``window`` over ``sorted_rids``; return comparison count.
-
-    Each new record entering the window is compared against the ``window
-    - 1`` records before it, the standard formulation equivalent to
-    comparing all pairs within each window position.
-    """
-    comparisons = 0
-    for index, rid in enumerate(sorted_rids):
-        start = max(0, index - window + 1)
-        for other_index in range(start, index):
-            other = sorted_rids[other_index]
-            comparisons += 1
-            if matcher(relation[other], relation[rid]):
-                pairs.add((min(other, rid), max(other, rid)))
-    return comparisons
-
-
-def _window_pass_block(sorted_rids: list[int], relation: Relation, window: int,
-                       match_block, pairs: set[tuple[int, int]]) -> int:
-    """Batched variant of :func:`_window_pass`.
-
-    Each record's block of ``window - 1`` predecessors goes through the
-    matcher's ``match_block`` in one call; block order equals the serial
-    comparison order, so decisions and pair sets are bit-identical.
-    """
-    comparisons = 0
-    for index, rid in enumerate(sorted_rids):
-        start = max(0, index - window + 1)
-        if start >= index:
-            continue
-        others = sorted_rids[start:index]
-        block = [(relation[other], relation[rid]) for other in others]
-        comparisons += len(block)
-        for other, matched in zip(others, match_block(block)):
-            if matched:
-                pairs.add((min(other, rid), max(other, rid)))
-    return comparisons
-
-
 def sorted_neighborhood(relation: Relation, keys: list[RelationalKey],
                         matcher: Matcher, window: int = 5,
                         closure: bool = True,
@@ -147,16 +107,16 @@ def sorted_neighborhood(relation: Relation, keys: list[RelationalKey],
         passes on.  A parallel plane shards each pass into overlapping
         anchor ranges across its worker pool; the relational window has
         no ``skip_known`` optimization, so even comparison counts match
-        the serial run exactly.  ``None`` runs in-process via the
-        historical kernels.
+        the serial run exactly.  ``None`` runs in-process.
     """
     if not keys:
         raise ValueError("at least one key is required")
     if window < 2:
         raise ValueError("window size must be >= 2")
-    match_block = getattr(matcher, "match_block", None) if batch else None
-    if batch and match_block is None:
+    if batch and getattr(matcher, "match_block", None) is None:
         raise ValueError("batch=True requires a matcher with match_block")
+    if plane is None:
+        plane = SerialPlane()
 
     result = SnmResult()
     all_rids = [record.rid for record in relation]
@@ -167,15 +127,9 @@ def sorted_neighborhood(relation: Relation, keys: list[RelationalKey],
         result.key_generation_seconds += time.perf_counter() - start
 
         start = time.perf_counter()
-        if plane is not None:
-            result.comparisons += plane.relational_pass(
-                keyed, relation, window, matcher, match_block, result.pairs)
-        elif match_block is not None:
-            result.comparisons += _window_pass_block(
-                keyed, relation, window, match_block, result.pairs)
-        else:
-            result.comparisons += _window_pass(keyed, relation, window,
-                                               matcher, result.pairs)
+        result.comparisons += plane.relational_pass(
+            [relation[rid] for rid in keyed], window, matcher, batch,
+            result.pairs)
         result.window_seconds += time.perf_counter() - start
 
     if closure:

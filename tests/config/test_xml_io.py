@@ -204,3 +204,47 @@ class TestRoundTrip:
         text = dump_config(config)
         reloaded = load_config(text)
         assert reloaded.candidate("disc").pass_count == 1
+
+
+class TestRetiredExecutionPlane:
+    """``executionPlane`` is retired: ``workers`` alone selects the plane.
+
+    Earlier writers always wrote the attribute, so documents carrying a
+    value that keeps its meaning still load; a value whose meaning would
+    change is refused with an itemized error naming the replacement.
+    """
+
+    @staticmethod
+    def document(plane, workers="1"):
+        return CONFIG_XML.replace(
+            'odThreshold="0.65"',
+            f'odThreshold="0.65" workers="{workers}" '
+            f'executionPlane="{plane}"')
+
+    @pytest.mark.parametrize("plane,workers", [
+        ("auto", "1"), ("auto", "4"), ("shm", "1"), ("shm", "2"),
+        ("serial", "1")])
+    def test_values_that_keep_their_meaning_load(self, plane, workers):
+        config = load_config(self.document(plane, workers))
+        assert config.workers == int(workers)
+        assert "executionPlane" not in dump_config(config)
+
+    @pytest.mark.parametrize("plane,workers", [
+        ("threads", "1"), ("threads", "2"), ("serial", "2"),
+        ("bogus", "1")])
+    def test_values_whose_meaning_would_change_are_refused(self, plane,
+                                                            workers):
+        with pytest.raises(ConfigError) as error:
+            load_config(self.document(plane, workers))
+        message = str(error.value)
+        assert message.startswith("invalid configuration:\n  - ")
+        assert f'executionPlane="{plane}"' in message
+        assert 'workers="1"' in message
+
+    def test_refusal_is_listed_with_other_problems(self):
+        xml = self.document("threads").replace('window="5"', 'window="1"')
+        with pytest.raises(ConfigError) as error:
+            load_config(xml)
+        items = str(error.value).splitlines()[1:]
+        assert any("executionPlane" in item for item in items)
+        assert any("window size" in item for item in items)

@@ -173,9 +173,9 @@ class TestUnionStrategy:
 class TestPlaneComposition:
     def test_parallel_plane_matches_serial(self, movies):
         serial = SxnmDetector(dataset1_config(), strategies=UNION,
-                              execution_plane="serial").run(movies)
+                              workers=1).run(movies)
         parallel = SxnmDetector(dataset1_config(), strategies=UNION,
-                                workers=2, execution_plane="shm").run(movies)
+                                workers=2).run(movies)
         assert parallel.pairs("movie") == serial.pairs("movie")
         assert parallel.outcomes["movie"].comparisons \
             == serial.outcomes["movie"].comparisons

@@ -1,9 +1,12 @@
 """Golden equivalence: the engine-backed detectors vs frozen references.
 
 Each reference implementation below re-states a pre-refactor detector
-loop directly on the shared kernels (``generate_gk``, ``multipass`` /
-``adaptive_window_pass``, ``SimilarityMeasure``, ``ClusterSet``),
-without going through :class:`~repro.core.DetectionEngine`.  The tests
+loop directly on the shared kernels (``generate_gk``, ``SimilarityMeasure``,
+``ClusterSet``) and the frozen window kernels of
+:mod:`tests.core.reference_window` (``multipass`` /
+``adaptive_window_pass`` as they stood before every window walk moved
+onto one sliding kernel), without going through
+:class:`~repro.core.DetectionEngine`.  The tests
 assert *bit-identical* pairs, comparison counts, and cluster partitions
 against the thin wrappers, on generated movie and CD corpora — the
 refactor's central invariant.
@@ -18,9 +21,8 @@ from repro.clustering import UnionFind
 from repro.config import SxnmConfig
 from repro.core import (AdaptiveSxnmDetector, CandidateHierarchy, ClusterSet,
                         DogmatixDetector, GkRow, GkTable, IncrementalSxnm,
-                        SxnmDetector, TopDownDetector, adaptive_window_pass,
-                        generate_gk, multipass, od_similarity,
-                        select_key_indices)
+                        SxnmDetector, TopDownDetector, generate_gk,
+                        od_similarity, select_key_indices)
 from repro.core.observer import EngineObserver
 from repro.core.simmeasure import SimilarityMeasure, od_similarity_upper_bound
 from repro.core.stages import od_only_spec
@@ -28,11 +30,7 @@ from repro.datagen import generate_dataset2, generate_dirty_movies
 from repro.experiments import dataset1_config, dataset2_config
 from repro.similarity import get_similarity
 from repro.xmlmodel import XmlDocument, serialize
-
-# CI re-runs the parallel golden suites against an explicit execution
-# backend (SXNM_TEST_PLANE=shm|threads|serial); "auto" picks the
-# default ladder.  Every backend must be bit-identical.
-TEST_PLANE = os.environ.get("SXNM_TEST_PLANE", "auto")
+from tests.core.reference_window import adaptive_window_pass, multipass
 
 
 def partition(cluster_set: ClusterSet) -> set[frozenset[int]]:
@@ -514,7 +512,6 @@ class TestParallelDetectionGolden:
         serial = SxnmDetector(config, workers=1, **common).run(movies,
                                                                window=6)
         parallel = SxnmDetector(config, workers=self.WORKERS,
-                                execution_plane=TEST_PLANE,
                                 **common).run(movies, window=6)
         for name, outcome in serial.outcomes.items():
             sharded = parallel.outcomes[name]
@@ -531,9 +528,8 @@ class TestParallelDetectionGolden:
         config = dataset1_config()
         config.parallel_min_rows = 0
         reference = reference_sxnm(config, movies, window=6)
-        result = SxnmDetector(config, workers=self.WORKERS,
-                              execution_plane=TEST_PLANE).run(movies,
-                                                              window=6)
+        result = SxnmDetector(config, workers=self.WORKERS).run(movies,
+                                                                window=6)
         for name, (pairs, _, _, clusters) in reference.items():
             assert result.outcomes[name].pairs == pairs
             assert partition(result.outcomes[name].cluster_set) == clusters
@@ -548,8 +544,8 @@ class TestStreamingDetectionGolden:
     merge).  Pairs, comparison counts, and cluster partitions must match
     exactly.  Extra dimensions re-run the streamed detector from a
     file-backed source (``XmlFileSource`` — the document never
-    materializes) and sharded across worker processes on the configured
-    execution plane (``SXNM_TEST_PLANE`` / ``SXNM_TEST_WORKERS``);
+    materializes) and sharded across worker processes on the
+    shared-memory plane (``SXNM_TEST_WORKERS``);
     ``SXNM_TEST_STREAM=1`` widens the file-source battery from the
     plain configuration to all five.
     """
@@ -617,7 +613,6 @@ class TestStreamingDetectionGolden:
                               spill_max_rows=7,
                               **self.common(kwargs)).run(movies, window=6)
         sharded = SxnmDetector(config, stream=True, workers=self.WORKERS,
-                               execution_plane=TEST_PLANE,
                                spill_dir=str(tmp_path / "spill-sharded"),
                                spill_max_rows=7,
                                **self.common(kwargs)).run(movies, window=6)
@@ -752,7 +747,6 @@ class TestBatchCompareGolden:
                               **self.common(kwargs)).run(movies, window=6)
         sharded = SxnmDetector(config, workers=self.WORKERS,
                                batch_compare=True,
-                               execution_plane=TEST_PLANE,
                                **self.common(kwargs)).run(movies, window=6)
         for name, outcome in serial.outcomes.items():
             other = sharded.outcomes[name]
@@ -803,8 +797,7 @@ class TestStrategyGolden:
     must stay bit-identical to the plain detector — pairs, comparison
     counts, filtered counts, and partitions.  ``SXNM_TEST_STRATEGY=1``
     widens both batteries from the plain configuration to all five;
-    the sharded dimension honors ``SXNM_TEST_PLANE`` /
-    ``SXNM_TEST_WORKERS``.
+    the sharded dimension honors ``SXNM_TEST_WORKERS``.
     """
 
     WORKERS = int(os.environ.get("SXNM_TEST_WORKERS", "2"))
@@ -878,11 +871,9 @@ class TestStrategyGolden:
         config = dataset1_config()
         config.parallel_min_rows = 0
         serial = SxnmDetector(config, strategies=self.STRATEGIES,
-                              execution_plane="serial",
                               **self.common(kwargs)).run(movies, window=6)
         sharded = SxnmDetector(config, strategies=self.STRATEGIES,
                                workers=self.WORKERS,
-                               execution_plane=TEST_PLANE,
                                **self.common(kwargs)).run(movies, window=6)
         for name, outcome in serial.outcomes.items():
             other = sharded.outcomes[name]
@@ -905,8 +896,8 @@ class TestDecisionGolden:
     counts, filtered counts, and cluster partitions bit-identical to the
     frozen pre-refactor references, with every confirmed pair accounted
     AUTO_DUP and nothing in REVIEW.  Extra dimensions re-run the
-    degenerate policy sharded across worker processes on the configured
-    execution plane and out-of-core (``stream=True``).
+    degenerate policy sharded across worker processes on the
+    shared-memory plane and out-of-core (``stream=True``).
     ``SXNM_TEST_DECISION=1`` widens all three batteries from the plain
     configuration to all five.
     """
@@ -958,11 +949,9 @@ class TestDecisionGolden:
         config = dataset1_config()
         config.parallel_min_rows = 0
         threshold = SxnmDetector(config, workers=self.WORKERS,
-                                 execution_plane=TEST_PLANE,
                                  **self.common(kwargs)).run(movies, window=6)
         three_way = SxnmDetector(config, decision_mode="three-way",
                                  workers=self.WORKERS,
-                                 execution_plane=TEST_PLANE,
                                  **self.common(kwargs)).run(movies, window=6)
         for name, outcome in threshold.outcomes.items():
             other = three_way.outcomes[name]

@@ -1,10 +1,10 @@
 """The unified ExecutionPlane: backend equivalence and pool lifecycle.
 
-Every backend — :class:`SerialPlane`, :class:`ThreadedBatchPlane`,
-:class:`SharedMemoryPlane` — must produce bit-identical pair and
-cluster sets through the same ``multipass`` seam; only comparison
-counts may rise, accounted as ``redundant_comparisons``.  The pooled
-backends additionally promise a persistent worker pool across runs,
+Both backends — :class:`SerialPlane` and :class:`SharedMemoryPlane` —
+must produce bit-identical pair and cluster sets through the same
+``multipass`` seam; only comparison counts may rise, accounted as
+``redundant_comparisons``.  The pooled backend additionally promises a
+persistent worker pool across runs,
 shared-memory segments that never outlive a pass (even a crashing
 one), and a graceful warned retreat to serial execution when the pool
 breaks.
@@ -19,8 +19,9 @@ from repro.config import CandidateSpec, SxnmConfig
 from repro.core import (ClusterSet, CounterObserver, DetectionEngine,
                         GkRow, GkTable, PairVerdict, ParallelWindowStrategy,
                         SerialPlane, SharedMemoryPlane, SxnmDetector,
-                        ThreadedBatchPlane, make_plane)
+                        make_plane)
 from repro.core import execution
+from repro.core.window import pairwise
 
 
 def table_with(keys_per_row, key_count=None):
@@ -56,7 +57,7 @@ class PlaneCtx:
         self.table = table
         self.window = window
         self.compare = compare
-        self.compare_block = None
+        self.classify = pairwise(compare)
         self.decider = None
         self.config = config
         self.key_indices = list(range(table.key_count))
@@ -107,26 +108,25 @@ class TestBackendEquivalence:
            duplicate_elimination=st.booleans())
     def test_pooled_planes_match_serial(self, rows, window, workers,
                                         segments, duplicate_elimination):
-        """SharedMemoryPlane ≡ ThreadedBatchPlane ≡ SerialPlane on
-        random tables: identical pairs AND clusters; comparisons may
-        only rise."""
+        """SharedMemoryPlane ≡ SerialPlane on random tables, over both
+        transports (shared segments and inline rows): identical pairs
+        AND clusters; comparisons may only rise."""
         table = table_with(rows, key_count=2)
         serial_ctx, serial = run_plane(
             SerialPlane(), table, window,
             duplicate_elimination=duplicate_elimination)
         eids = table.eids()
-        for plane in (
-                ThreadedBatchPlane(workers=workers, min_rows=0,
-                                   segments_per_pass=segments),
-                SharedMemoryPlane(workers=workers, min_rows=0,
-                                  segments_per_pass=segments, min_bytes=0)):
+        for min_bytes in (0, 1 << 30):
+            plane = SharedMemoryPlane(workers=workers, min_rows=0,
+                                      segments_per_pass=segments,
+                                      min_bytes=min_bytes)
             ctx, outcome = run_plane(
                 plane, table, window,
                 duplicate_elimination=duplicate_elimination)
-            assert ctx.pairs == serial_ctx.pairs, plane.name
-            assert outcome.comparisons >= serial.comparisons, plane.name
+            assert ctx.pairs == serial_ctx.pairs, min_bytes
+            assert outcome.comparisons >= serial.comparisons, min_bytes
             assert partition(ctx.pairs, eids) \
-                == partition(serial_ctx.pairs, eids), plane.name
+                == partition(serial_ctx.pairs, eids), min_bytes
 
     def test_shared_memory_segment_is_published_and_released(self):
         table = table_with([[f"k{i % 5}", f"w{i % 3}"] for i in range(30)])
@@ -142,7 +142,7 @@ class TestBackendEquivalence:
 
     def test_dispatch_all_keys_before_gather(self):
         table = table_with([[f"k{i % 5}", f"w{i % 3}"] for i in range(30)])
-        plane = ThreadedBatchPlane(workers=2, min_rows=0)
+        plane = SharedMemoryPlane(workers=2, min_rows=0)
         ctx, _ = run_plane(plane, table, 3)
         kinds = [event[0] for event in ctx.events]
         assert kinds == ["started", "dispatched", "started", "dispatched",
@@ -219,15 +219,6 @@ class TestMakePlane:
         assert isinstance(plane, SharedMemoryPlane)
         assert plane.workers == 3
 
-    def test_explicit_choices(self):
-        assert isinstance(make_plane(small_config(
-            execution_plane="threads", workers=2)), ThreadedBatchPlane)
-        assert isinstance(make_plane(small_config(
-            execution_plane="shm")), SharedMemoryPlane)
-        # "serial" wins even over a parallel worker count.
-        assert isinstance(make_plane(small_config(
-            execution_plane="serial", workers=4)), SerialPlane)
-
     def test_workers_argument_overrides_config(self):
         plane = make_plane(small_config(), workers=2)
         assert isinstance(plane, SharedMemoryPlane)
@@ -240,11 +231,11 @@ class TestMakePlane:
 
 
 class TestDetectorSeam:
-    @pytest.mark.parametrize("plane", ["serial", "threads", "shm"])
-    def test_backends_bit_identical(self, plane):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "shm"])
+    def test_backends_bit_identical(self, workers):
         serial = SxnmDetector(small_config()).run(MOVIES_XML)
-        result = SxnmDetector(small_config(), workers=2,
-                              execution_plane=plane).run(MOVIES_XML)
+        result = SxnmDetector(small_config(),
+                              workers=workers).run(MOVIES_XML)
         assert result.pairs("movie") == serial.pairs("movie")
         assert {frozenset(c) for c
                 in result.cluster_set("movie").duplicate_clusters()} \
@@ -252,8 +243,7 @@ class TestDetectorSeam:
                 in serial.cluster_set("movie").duplicate_clusters()}
 
     def test_serial_plane_disables_parallel_strategy(self):
-        detector = SxnmDetector(small_config(), workers=2,
-                                execution_plane="serial")
+        detector = SxnmDetector(small_config(), workers=1)
         assert not isinstance(detector.engine.neighborhood,
                               ParallelWindowStrategy)
         result = detector.run(MOVIES_XML)
@@ -360,9 +350,8 @@ class TestRelationalPlane:
 
     @pytest.mark.parametrize("plane_factory", [
         SerialPlane,
-        lambda: ThreadedBatchPlane(workers=2, min_rows=0),
         lambda: SharedMemoryPlane(workers=2, min_rows=0, min_bytes=0),
-    ], ids=["serial", "threads", "shm"])
+    ], ids=["serial", "shm"])
     def test_plane_matches_inline_kernel(self, plane_factory):
         from repro.relational import (FieldRule, RelationalKey,
                                       WeightedFieldMatcher,

@@ -49,7 +49,6 @@ class TestFingerprints:
         tuned = dataset1_config()
         tuned.workers = 8
         tuned.batch_compare = True
-        tuned.execution_plane = "shm"
         tuned.phi_cache_dir = "/tmp/phi"
         tuned.index_dir = "/tmp/idx"
         assert config_fingerprint(tuned) == config_fingerprint(base)
@@ -122,8 +121,7 @@ class TestRunState:
         pairs = {(9, 3), (1, 2)}
         stats = {"pairs_scored": 4}
         assert index.commit_candidate("movie", pairs, comparisons=12,
-                                      filtered=3, window_seconds=0.5,
-                                      closure_seconds=0.1, stats=stats)
+                                      filtered=3, stats=stats)
         restored = DetectionIndex(index.directory).open()
         state = restored.load_candidate("movie")
         assert state["pairs"] == pairs
@@ -138,7 +136,7 @@ class TestRunState:
         index = open_index(tmp_path)
         index.begin_run(config, "c" * 16, run_signature(5, None))
         index.save_gk(make_tables())
-        index.commit_candidate("movie", {(1, 2)}, 3, 0, 0.0, 0.0, None)
+        index.commit_candidate("movie", {(1, 2)}, 3, 0, None)
         runs_before = index.counters()["runs"]
 
         index.begin_run(config, "d" * 16, run_signature(7, None))
@@ -302,7 +300,7 @@ class TestOperations:
         before = sorted(os.listdir(index.directory))
         reader = DetectionIndex(index.directory, read_only=True).open()
         assert reader.save_gk(make_tables()) is False
-        assert reader.commit_candidate("movie", set(), 0, 0, 0.0, 0.0,
+        assert reader.commit_candidate("movie", set(), 0, 0,
                                        None) is False
         assert reader.compact() == 0
         assert sorted(os.listdir(index.directory)) == before
@@ -314,3 +312,25 @@ class TestOperations:
             (tmp_path / "index" / MANIFEST_NAME).read_text())
         assert manifest["magic"] == "sxnm-index"
         assert manifest["version"] == 1
+
+
+class TestDeterministicSegments:
+    def test_two_fresh_indexes_of_one_detection_match_byte_for_byte(
+            self, tmp_path):
+        """Segments hold results only (no timings), so two detections of
+        one corpus write the same segment files under the same
+        content-addressed names."""
+        from repro.core import SxnmDetector
+        from repro.datagen import generate_dirty_movies
+        document = generate_dirty_movies(30, seed=5,
+                                         profile="effectiveness")
+        snapshots = []
+        for name in ("first", "second"):
+            directory = tmp_path / name
+            SxnmDetector(dataset1_config(),
+                         index_dir=str(directory)).run(document, window=5)
+            snapshots.append({
+                str(path.relative_to(directory)): path.read_bytes()
+                for path in directory.rglob(f"*{SEGMENT_SUFFIX}")})
+        assert snapshots[0]
+        assert snapshots[0] == snapshots[1]

@@ -191,7 +191,7 @@ class TestWriteFaults:
 
         monkeypatch.setattr(tempfile, "mkstemp", refuse)
         assert index.commit_candidate("movie", {(1, 2)}, 3, 0,
-                                      0.0, 0.0, None) is False
+                                      None) is False
         assert len(warnings) == 1
         assert "cannot write" in warnings[0]
         assert index.completed == []

@@ -15,12 +15,13 @@ from repro.clustering import UnionFind  # noqa: F401  (import parity check)
 from repro.config import CandidateSpec, SxnmConfig
 from repro.core import (ClusterSet, CounterObserver, DetectionEngine,
                         EngineObserver, GkRow, GkTable,
-                        ParallelWindowStrategy, PairVerdict, SxnmDetector,
-                        multipass, parallel_multipass, plan_segments,
-                        segment_bounds, segment_window_pass, shared_executor,
+                        ParallelWindowStrategy, PairVerdict,
+                        SharedMemoryPlane, SxnmDetector, multipass,
                         window_pass)
-from repro.core.parallel import (PassResult, build_pass_tasks,
-                                 merge_pass_results)
+from repro.core.execution import (PassResult, merge_pass_results,
+                                  plan_segments, segment_bounds,
+                                  shared_executor)
+from repro.core.window import pairwise, slide
 from repro.similarity import PhiCache
 
 
@@ -36,6 +37,44 @@ def table_with(keys_per_row, key_count=None):
 def partition(pairs, eids):
     return {frozenset(cluster)
             for cluster in ClusterSet.from_pairs("x", pairs, eids)}
+
+
+class PlaneCtx:
+    """The slice of ``CandidateContext`` a plane's multipass reads;
+    observer hooks are no-ops."""
+
+    def __init__(self, table, window, compare, key_indices):
+        self.table = table
+        self.window = window
+        self.compare = compare
+        self.classify = pairwise(compare)
+        self.decider = None
+        self.config = None
+        self.key_indices = key_indices
+        self.pairs = set()
+
+    def __getattr__(self, name):
+        if name.startswith("pass_") or name in ("warning",
+                                                "segment_published"):
+            return lambda *args: None
+        raise AttributeError(name)
+
+
+def plane_multipass(table, window, compare, key_indices=None,
+                    duplicate_elimination=False, workers=2, min_rows=0,
+                    segments_per_pass=None):
+    """:func:`multipass` sharded on the shared-memory plane."""
+    ctx = PlaneCtx(table, window, compare,
+                   key_indices if key_indices is not None
+                   else list(range(table.key_count)))
+    plane = SharedMemoryPlane(workers=workers, min_rows=min_rows,
+                              segments_per_pass=segments_per_pass)
+    try:
+        outcome = plane.multipass(
+            ctx, duplicate_elimination=duplicate_elimination)
+    finally:
+        plane.finish_run()
+    return ctx.pairs, outcome.comparisons
 
 
 # Module-level (hence picklable) comparison callables.
@@ -99,9 +138,9 @@ class TestPlanning:
         sharded = 0
         for low, high in segment_bounds(len(ordered), 3):
             first = max(0, low - window + 1)
-            sharded += segment_window_pass(ordered[first:high], window,
-                                           first_char_duplicate,
-                                           sharded_pairs, start=low - first)
+            sharded += slide(ordered[first:high], window,
+                             pairwise(first_char_duplicate), sharded_pairs,
+                             start=low - first)
         assert sharded_pairs == serial_pairs
         # One shared ``pairs`` set here means skip_known still applies
         # across segments, so the counts match exactly too.
@@ -146,21 +185,21 @@ class TestMerging:
 
 
 # ---------------------------------------------------------------------------
-# The kernel
+# Sharded multipass on the plane
 
 
 class TestParallelMultipass:
     def test_workers_one_is_the_serial_kernel(self):
         table = table_with([["a"], ["ab"], ["b"], ["ba"]])
-        assert parallel_multipass(table, 2, first_char_duplicate,
-                                  workers=1) \
+        assert plane_multipass(table, 2, first_char_duplicate,
+                               workers=1) \
             == multipass(table, 2, first_char_duplicate)
 
     def test_min_rows_fallback_is_serial(self):
         table = table_with([["a"], ["ab"], ["b"]])
         # min_rows above the table size: must not shard (counts equal).
-        assert parallel_multipass(table, 2, first_char_duplicate,
-                                  workers=4, min_rows=100) \
+        assert plane_multipass(table, 2, first_char_duplicate,
+                               workers=4, min_rows=100) \
             == multipass(table, 2, first_char_duplicate)
 
     def test_sharded_pairs_match_serial(self):
@@ -169,8 +208,8 @@ class TestParallelMultipass:
              for i in range(40)])
         serial_pairs, serial_comps = multipass(table, 4,
                                                first_char_duplicate)
-        pairs, comps = parallel_multipass(table, 4, first_char_duplicate,
-                                          workers=2, segments_per_pass=3)
+        pairs, comps = plane_multipass(table, 4, first_char_duplicate,
+                                       workers=2, segments_per_pass=3)
         assert pairs == serial_pairs
         assert comps >= serial_comps
 
@@ -179,8 +218,8 @@ class TestParallelMultipass:
                             ["b", "x"], ["b", "x"]] * 4)
         serial_pairs, _ = multipass(table, 3, first_char_duplicate,
                                     duplicate_elimination=True)
-        pairs, _ = parallel_multipass(table, 3, first_char_duplicate,
-                                      duplicate_elimination=True, workers=3)
+        pairs, _ = plane_multipass(table, 3, first_char_duplicate,
+                                   duplicate_elimination=True, workers=3)
         assert pairs == serial_pairs
 
     def test_executor_is_shared_and_reused(self):
@@ -202,14 +241,14 @@ class TestParallelProperty:
     def test_identical_pairs_and_clusters(self, rows, window, workers,
                                           segments, duplicate_elimination,
                                           min_rows):
-        """Parallel multipass == serial multipass: pairs AND clusters,
+        """Sharded multipass == serial multipass: pairs AND clusters,
         for random tables, windows, worker counts, segment splits, and
         the degenerate workers=1 / rows < min_rows fallbacks."""
         table = table_with(rows, key_count=2)
         serial_pairs, serial_comps = multipass(
             table, window, first_char_duplicate,
             duplicate_elimination=duplicate_elimination)
-        pairs, comps = parallel_multipass(
+        pairs, comps = plane_multipass(
             table, window, first_char_duplicate,
             duplicate_elimination=duplicate_elimination, workers=workers,
             min_rows=min_rows, segments_per_pass=segments)

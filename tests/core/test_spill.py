@@ -3,10 +3,11 @@
 Every kernel is pinned to its in-memory counterpart: run formation and
 the k-way merge must reproduce ``GkTable.sorted_by_key`` exactly,
 ``spill_gk_streaming`` must emit the same rows as
-``generate_gk_streaming``, and the streamed window kernels must match
-``segment_window_pass`` / ``de_window_pass`` pair for pair and count
-for count.  The streaming differential battery over whole detections
-lives in ``test_engine_equivalence.py``.
+``generate_gk_streaming``, and the window kernels over merged run
+streams must match the frozen in-memory ``segment_window_pass`` /
+``de_window_pass`` pair for pair and count for count.  The streaming
+differential battery over whole detections lives in
+``test_engine_equivalence.py``.
 """
 
 import os
@@ -17,17 +18,17 @@ from hypothesis import strategies as st
 
 from repro.config import CandidateSpec, SxnmConfig, load_config, dump_config
 from repro.core import (SpilledGkTable, SpillStore, generate_gk,
-                        generate_gk_streaming, spill_gk_streaming,
-                        stream_de_window_pass, stream_window_pass)
+                        generate_gk_streaming, spill_gk_streaming)
 from repro.core.candidates import CandidateHierarchy
 from repro.core.gk import GkRow
 from repro.core.spill import (DEFAULT_SPILL_MAX_ROWS, XmlFileSource,
                               document_events, merge_runs, source_events)
-from repro.core.window import de_window_pass, segment_window_pass
+from repro.core.window import de_slide, pairwise, slide
 from repro.datagen import generate_dirty_movies
 from repro.errors import DetectionError
 from repro.experiments import dataset1_config
 from repro.xmlmodel import iter_events, parse, serialize, write_file
+from tests.core.reference_window import de_window_pass, segment_window_pass
 
 
 @pytest.fixture(scope="module")
@@ -213,9 +214,9 @@ class TestStreamKernels:
                         reference[name].sorted_by_key(key_index), window,
                         self.compare(), expected_pairs)
                     streamed_pairs: set = set()
-                    streamed = stream_window_pass(
+                    streamed = slide(
                         table.iter_sorted_by_key(key_index), window,
-                        self.compare(), streamed_pairs)
+                        pairwise(self.compare()), streamed_pairs)
                     assert streamed == expected
                     assert streamed_pairs == expected_pairs
 
@@ -228,16 +229,16 @@ class TestStreamKernels:
                 expected = de_window_pass(reference[name], key_index, 4,
                                           self.compare(), expected_pairs)
                 streamed_pairs: set = set()
-                streamed = stream_de_window_pass(
+                streamed = de_slide(
                     lambda: table.iter_sorted_by_key(key_index), key_index,
-                    4, self.compare(), streamed_pairs)
+                    4, pairwise(self.compare()), streamed_pairs)
                 assert streamed == expected
                 assert streamed_pairs == expected_pairs
 
     def test_skip_known_pairs_not_recompared(self):
         rows = [GkRow(i, ["xx"], [], {}) for i in range(4)]
         pairs = {(0, 1)}
-        count = stream_window_pass(iter(rows), 2, self.compare(), pairs)
+        count = slide(iter(rows), 2, pairwise(self.compare()), pairs)
         assert count == 2  # (1,2) and (2,3); (0,1) was known
         assert pairs == {(0, 1), (1, 2), (2, 3)}
 
@@ -256,18 +257,17 @@ class TestStreamKernels:
                 reference["movie"].sorted_by_key(key_index), 4, compare,
                 expected_pairs, compare_block=block_compare)
             streamed_pairs: set = set()
-            streamed = stream_window_pass(
-                table.iter_sorted_by_key(key_index), 4, compare,
-                streamed_pairs, compare_block=block_compare)
+            streamed = slide(
+                table.iter_sorted_by_key(key_index), 4, block_compare,
+                streamed_pairs)
             assert streamed == expected
             assert streamed_pairs == expected_pairs
 
     def test_window_too_small_rejected(self):
         with pytest.raises(ValueError):
-            stream_window_pass(iter(()), 1, self.compare(), set())
+            slide(iter(()), 1, pairwise(self.compare()), set())
         with pytest.raises(ValueError):
-            stream_de_window_pass(lambda: iter(()), 0, 1,
-                                  self.compare(), set())
+            de_slide(lambda: iter(()), 0, 1, pairwise(self.compare()), set())
 
 
 class TestSourceEvents:
