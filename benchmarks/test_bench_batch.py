@@ -4,15 +4,10 @@ Runs the Fig. 5 many-duplicates workload through the detector four
 ways — pair-at-a-time and batched, with the pruning filters off and
 on — asserts every scenario returns bit-identical pairs (and that the
 batched runs reproduce the pair-at-a-time stats modulo the two
-batch-only counters), then records the work saved:
-
-* the drop in full edit-distance DP evaluations of the batched,
-  filter-armed run against the unfiltered pair-at-a-time baseline
-  (the ``REDUCTION_TARGET`` headline claim);
-* the share of Levenshtein DP cells the batch's shared-prefix arena
-  skips on exactly this corpus's sorted window blocks
-  (``dp_cell_reduction`` — cells actually computed versus what
-  independent full matrices would cost).
+batch-only counters), then records the work saved: the drop in full
+edit-distance evaluations of the batched, filter-armed run against the
+unfiltered pair-at-a-time baseline (the ``REDUCTION_TARGET`` headline
+claim).
 
 Honesty over optimism: tiny smoke corpora (the CI step runs ~40
 movies) have too few duplicate neighbors for the ≥30% claim to be
@@ -32,11 +27,11 @@ import time
 
 from conftest import FULL_SCALE, SEED, peak_memory_snapshot, write_result
 
-from repro.core import CandidateHierarchy, SxnmDetector, generate_gk
+from repro.core import SxnmDetector
 from repro.datagen import generate_dirty_movies
 from repro.eval import render_table
 from repro.experiments import dataset1_config
-from repro.similarity import ComparisonStats, DpArena
+from repro.similarity import ComparisonStats
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_MOVIES = int(os.environ.get("SXNM_BENCH_BATCH_MOVIES",
@@ -70,39 +65,6 @@ def timed_run(document, use_filters: bool, batch: bool):
     result = SxnmDetector(dataset1_config(), use_filters=use_filters,
                           batch_compare=batch).run(document, window=WINDOW)
     return result, time.perf_counter() - start
-
-
-def arena_cell_reduction(document) -> DpArena:
-    """The DP arena's cell accounting on this corpus's window blocks.
-
-    Replays the sorted window workload (anchor repeats, neighbors share
-    prefixes) through one :class:`DpArena` for every edit-φ OD field —
-    the exact traffic the batch layer routes through the arena.
-    """
-    config = dataset1_config()
-    hierarchy = CandidateHierarchy(config)
-    tables = generate_gk(document, config, hierarchy)
-    arena = DpArena()
-    for node in hierarchy.order:
-        spec = node.spec
-        table = tables[spec.name]
-        positions = [index for index, (_, _, phi)
-                     in enumerate(spec.od_items())
-                     if phi in ("edit", "levenshtein")]
-        if not positions:
-            continue
-        for key_index in range(table.key_count):
-            rows = sorted(table, key=lambda row: (row.keys[key_index],
-                                                  row.eid))
-            for index, row in enumerate(rows):
-                for other in rows[max(0, index - WINDOW + 1):index]:
-                    for position in positions:
-                        left = other.ods[position]
-                        right = row.ods[position]
-                        if left is None or right is None:
-                            continue
-                        arena.distance(left, right)
-    return arena
 
 
 def test_batched_comparison_perf_record(benchmark):
@@ -150,14 +112,6 @@ def test_batched_comparison_perf_record(benchmark):
             batch_filtered_stats.edit_full_evals,
             plain_stats.edit_full_evals)
 
-    # The arena's shared-prefix saving on this corpus's window blocks.
-    arena = arena_cell_reduction(document)
-    dp_cell_reduction = 1.0 - (arena.cells_computed
-                               / max(arena.cells_naive, 1))
-    assert 0.0 <= dp_cell_reduction <= 1.0
-    if reduction_assertable:
-        assert dp_cell_reduction > 0.0
-
     pairs_seen = sum(outcome.comparisons + outcome.filtered_comparisons
                      for outcome in batch_filtered.outcomes.values())
     scenarios = [
@@ -184,9 +138,6 @@ def test_batched_comparison_perf_record(benchmark):
         "edit_full_evals_reduction": round(reduction, 4),
         "reduction_target": REDUCTION_TARGET,
         "reduction_asserted": reduction_assertable,
-        "dp_cell_reduction": round(dp_cell_reduction, 4),
-        "dp_cells_computed": arena.cells_computed,
-        "dp_cells_naive": arena.cells_naive,
     }
     record["memory"] = peak_memory_snapshot()
     (REPO_ROOT / "BENCH_batch.json").write_text(
@@ -200,5 +151,4 @@ def test_batched_comparison_perf_record(benchmark):
         ["scenario", "full edit DPs", "batched pairs", "batch drops",
          "seconds"], rows,
         title=f"Batched comparison: {BENCH_MOVIES} movies, edit DP "
-              f"reduction {reduction:.0%}, arena cell saving "
-              f"{dp_cell_reduction:.0%}"))
+              f"reduction {reduction:.0%}"))

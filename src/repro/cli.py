@@ -533,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(verbose; implies per-pair instrumentation)")
     detect.add_argument("--filters", action="store_true",
                         help="arm the comparison plane's pruning layers "
-                             "(length/bag filters, banded edit distances, "
+                             "(length/bag filters, capped edit distances, "
                              "upper-bound aborts); identical results, "
                              "fewer expensive comparisons")
     detect.add_argument("--workers", type=int, default=None, metavar="N",

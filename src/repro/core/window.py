@@ -257,10 +257,10 @@ def key_similarity(left: str, right: str) -> float:
 def keys_similar(left: str, right: str, floor: float) -> bool:
     """Decision-only form of ``key_similarity(left, right) >= floor``.
 
-    Routed through the banded edit path: keys clearly below the floor
-    are refuted by the length/bag bounds or a truncated DP and never pay
-    the full quadratic distance — they dominate adaptive-pass cost, since
-    every extension attempt ends on one.
+    Routed through the capped edit path: keys clearly below the floor
+    are refuted by the length/bag bounds or the capped kernel's early
+    exit and never pay the full distance — they dominate adaptive-pass
+    cost, since every extension attempt ends on one.
     """
     if floor <= 0.0:
         return True

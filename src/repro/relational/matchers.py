@@ -14,7 +14,7 @@ callable ``(Record, Record) -> bool``.  Two standard implementations:
 Both run on the compiled comparison plane
 (:mod:`repro.similarity.plan`): fields are evaluated cheapest-first
 with the registry's filter bounds, edit distances run through the
-banded DP, φ scores are memoized in a shared cache, and — for the
+capped edit kernel, φ scores are memoized in a shared cache, and — for the
 weighted matcher — pairs are abandoned as soon as the maximum
 still-achievable score falls below the threshold.  Scores and
 decisions are bit-identical to the plain field loops they replace.
@@ -138,7 +138,7 @@ class RuleMatcher:
     nonempty, at least one of them must hold as well.  Each condition is
     compiled against the registry's filter metadata and all share one φ
     memo cache, so repeated field values and refutable edit distances
-    never pay for a full DP.
+    never pay for a full edit distance.
     """
 
     def __init__(self, require: list[Condition] | None = None,

@@ -9,16 +9,16 @@ This module provides the classic ones:
   similarity from the length difference alone.
 * :func:`bag_filter_bound` — a tighter bound from character multisets
   (bag distance is a lower bound of edit distance).
-* :func:`bounded_levenshtein` — banded DP with early exit once the
-  distance provably exceeds a cap.
+* :func:`bounded_levenshtein` — the edit kernel with a cap: it exits
+  as soon as the distance provably exceeds it.
 * :func:`filtered_edit_similarity` — the composition: apply the bounds,
-  then the banded DP, returning 0.0 as soon as the similarity provably
-  falls below a floor.
+  then the capped kernel, returning 0.0 as soon as the similarity
+  provably falls below a floor.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from .levenshtein import levenshtein_distance
 
 
 def length_filter_bound(left: str, right: str) -> float:
@@ -37,13 +37,16 @@ def bag_distance(left: str, right: str) -> int:
     """Bag distance: a cheap lower bound of the edit distance.
 
     ``max(|bag(a) - bag(b)|, |bag(b) - bag(a)|)`` where the difference is
-    multiset difference.
+    multiset difference.  Both differences are a length minus the
+    characters the bags share, so the larger one belongs to the longer
+    string.
     """
-    left_bag = Counter(left)
-    right_bag = Counter(right)
-    left_only = sum((left_bag - right_bag).values())
-    right_only = sum((right_bag - left_bag).values())
-    return max(left_only, right_only)
+    shared = 0
+    for char in set(left):
+        in_left = left.count(char)
+        in_right = right.count(char)
+        shared += in_left if in_left < in_right else in_right
+    return max(len(left), len(right)) - shared
 
 
 def bag_filter_bound(left: str, right: str) -> float:
@@ -57,48 +60,17 @@ def bag_filter_bound(left: str, right: str) -> float:
 def bounded_levenshtein(left: str, right: str, max_distance: int) -> int:
     """Levenshtein distance, or ``max_distance + 1`` once it exceeds it.
 
-    Uses the standard band of width ``2 * max_distance + 1`` around the
-    diagonal and exits as soon as every band cell exceeds the cap.
+    The edit kernel with a cap: it answers at once when the lengths
+    alone differ by more than the cap, and otherwise stops as soon as
+    the distance provably exceeds it.  A negative cap raises
+    ``ValueError``.
     """
-    if max_distance < 0:
-        raise ValueError("max_distance must be >= 0")
-    if left == right:
-        return 0
-    len_left, len_right = len(left), len(right)
-    if abs(len_left - len_right) > max_distance:
-        return max_distance + 1
-    if len_left == 0:
-        return len_right
-    if len_right == 0:
-        return len_left
-
-    overflow = max_distance + 1
-    previous = list(range(len_right + 1))
-    for row, char in enumerate(left, start=1):
-        low = max(1, row - max_distance)
-        high = min(len_right, row + max_distance)
-        current = [overflow] * (len_right + 1)
-        if low == 1:
-            current[0] = row
-        best = current[0]
-        for col in range(low, high + 1):
-            cost = 0 if char == right[col - 1] else 1
-            value = min(previous[col] + 1,
-                        current[col - 1] + 1,
-                        previous[col - 1] + cost)
-            current[col] = value
-            if value < best:
-                best = value
-        if best > max_distance:
-            return overflow
-        previous = current
-    distance = previous[len_right]
-    return distance if distance <= max_distance else overflow
+    return levenshtein_distance(left, right, max_distance)
 
 
 def bounded_edit_similarity(left: str, right: str,
                             floor: float) -> tuple[float, bool]:
-    """Normalized edit similarity through the banded DP.
+    """Normalized edit similarity through the capped edit kernel.
 
     Returns ``(value, exact)``: the exact ``levenshtein_similarity`` with
     ``exact=True`` whenever it is at least ``floor``; otherwise a
@@ -125,8 +97,8 @@ def filtered_edit_similarity(left: str, right: str, floor: float) -> float:
     """Normalized edit similarity, short-circuited below ``floor``.
 
     Returns the exact ``levenshtein_similarity`` when it is at least
-    ``floor`` and ``0.0`` otherwise, without ever running the full DP
-    when the length or bag filters already refute the floor.
+    ``floor`` and ``0.0`` otherwise, without ever running the edit
+    kernel when the length or bag filters already refute the floor.
     """
     if not 0.0 <= floor <= 1.0:
         raise ValueError("floor must lie in [0, 1]")

@@ -7,7 +7,7 @@ and allows applications to register their own domain measures.
 
 Each name also carries :class:`PhiTraits` — the metadata the compiled
 comparison plane (:mod:`repro.similarity.plan`) uses to order fields by
-cost, bind cheap upper-bound filters, and swap in a banded
+cost, bind cheap upper-bound filters, and swap in a capped
 (floor-bounded) evaluation.  User functions registered without traits
 get conservative defaults (expensive, no filters); registering traits
 makes any custom φ filter-aware without touching the core.
@@ -66,7 +66,7 @@ _BUILTIN_TRAITS: dict[str, PhiTraits] = {
     "jaro": PhiTraits(cost=1, symmetric=True),
     "jaro_winkler": PhiTraits(cost=1, symmetric=True),
     "lcs": PhiTraits(cost=2, symmetric=True),
-    # The edit family: length/bag filters plus the banded DP.
+    # The edit family: length/bag filters plus the capped edit kernel.
     "levenshtein": PhiTraits(cost=3, symmetric=True,
                              upper_bounds=_EDIT_BOUNDS,
                              bounded=bounded_edit_similarity),
@@ -74,7 +74,7 @@ _BUILTIN_TRAITS: dict[str, PhiTraits] = {
                       upper_bounds=_EDIT_BOUNDS,
                       bounded=bounded_edit_similarity),
     # Transpositions change neither lengths nor bags, so both bounds
-    # hold for Damerau too — but the banded DP computes plain
+    # hold for Damerau too — but the capped kernel computes plain
     # Levenshtein and cannot stand in for the exact value.
     "damerau": PhiTraits(cost=3, symmetric=True,
                          upper_bounds=_EDIT_BOUNDS),

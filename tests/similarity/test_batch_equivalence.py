@@ -5,10 +5,9 @@ that batching is *purely* a work-saving transformation: every score,
 outcome, decision, detected pair, cluster partition, and non-batch
 stats counter is bit-identical to mapping the pair-at-a-time path over
 the same pairs in the same order.  This battery holds the promise at
-every level the batch threads through — the raw plan, the DP arena,
-the similarity measure, full detector runs (serial, sharded across
-worker processes, and against a warm persistent φ cache), and the
-relational matchers.
+every level the batch threads through — the raw plan, the similarity
+measure, full detector runs (serial, sharded across worker processes,
+and against a warm persistent φ cache), and the relational matchers.
 """
 
 import os
@@ -21,9 +20,8 @@ from repro.experiments import dataset1_config
 from repro.relational import (Condition, FieldRule, Relation, RelationalKey,
                               RuleMatcher, WeightedFieldMatcher,
                               sorted_neighborhood)
-from repro.similarity import (ComparisonPlan, ComparisonStats, DpArena,
-                              PairBatch, PhiCache)
-from repro.similarity.levenshtein import levenshtein_distance
+from repro.similarity import (ComparisonPlan, ComparisonStats, PairBatch,
+                              PhiCache)
 from tests.similarity.conftest import FIELDS, random_corpus
 
 #: The only counters allowed to differ between the two paths.
@@ -102,9 +100,6 @@ class TestPlanDifferential:
                 == [serial_plan.score(left, right) for left, right in block]
         assert stats_modulo_batch(batch_stats) \
             == stats_modulo_batch(serial_stats)
-        # The arena actually absorbed full edit evaluations.
-        assert batch.arena.runs > 0
-        assert batch.arena.cells_computed <= batch.arena.cells_naive
 
     @pytest.mark.parametrize("seed", [7, 41])
     def test_decide_block_identical_decisions(self, seed):
@@ -121,47 +116,6 @@ class TestPlanDifferential:
         with pytest.raises(ValueError):
             PairBatch(plan).decide_block([(["a", None, None],
                                            ["b", None, None])])
-
-
-# ---------------------------------------------------------------------------
-# The DP arena computes exact distances while skipping shared-prefix work
-
-
-class TestDpArena:
-    WORDS = ["", "a", "ab", "abc", "abd", "abcdef", "abcdeg", "xyz",
-             "casablanca", "casablanka", "casa", "blanca"]
-
-    def test_exact_distances_in_any_order(self):
-        arena = DpArena()
-        for pattern in self.WORDS:
-            for text in self.WORDS:
-                assert arena.distance(text, pattern) \
-                    == levenshtein_distance(text, pattern), (text, pattern)
-
-    def test_sorted_texts_resume_from_shared_prefixes(self):
-        texts = sorted(self.WORDS)
-        arena = DpArena()
-        for text in texts:
-            assert arena.distance(text, "casablanca") \
-                == levenshtein_distance(text, "casablanca")
-        # Sorted order shares prefixes, so resumed columns must beat
-        # independent full matrices.
-        assert 0 < arena.cells_computed < arena.cells_naive
-
-    def test_equal_strings_shortcut_keeps_resume_state_consistent(self):
-        arena = DpArena()
-        assert arena.distance("casab", "casablanca") == 5
-        # Equal-strings shortcut: returns without touching the columns...
-        assert arena.distance("casablanca", "casablanca") == 0
-        # ...so the next resume still continues from "casab"'s columns.
-        assert arena.distance("casaz", "casablanca") \
-            == levenshtein_distance("casaz", "casablanca")
-
-    def test_pattern_switch_resets_columns(self):
-        arena = DpArena()
-        assert arena.distance("abc", "abd") == 1
-        assert arena.distance("abc", "xbd") == 2
-        assert arena.distance("", "xbd") == 3
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 The comparison plane's pruning is only correct if the filters really
 bound the edit family: the length and bag filters must never fall below
-the true normalized similarity, and the banded DP must agree with the
-exact distance whenever the distance fits under its cap.
+the true normalized similarity, and the capped edit kernel must agree
+with the exact distance whenever the distance fits under its cap.  The
+exact distance comes from the frozen textbook DP in
+:mod:`tests.similarity.reference_levenshtein`, never from the kernel
+under test.
 """
 
 import random
 import string
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +19,20 @@ from hypothesis import strategies as st
 from repro.similarity import (bag_distance, bag_filter_bound,
                               bounded_edit_similarity, bounded_levenshtein,
                               damerau_similarity, length_filter_bound,
-                              levenshtein_distance, levenshtein_similarity)
+                              levenshtein_similarity)
+from tests.similarity.conftest import adversarial_text
+from tests.similarity.reference_levenshtein import levenshtein_distance
 
 word = st.text(alphabet=string.ascii_lowercase + " '", max_size=24)
+
+
+def counter_bag_distance(left: str, right: str) -> int:
+    """The multiset definition of bag distance, through ``Counter``."""
+    left_bag = Counter(left)
+    right_bag = Counter(right)
+    left_only = sum((left_bag - right_bag).values())
+    right_only = sum((right_bag - left_bag).values())
+    return max(left_only, right_only)
 
 
 def seeded_pairs(seed=97, count=400):
@@ -60,6 +75,12 @@ class TestFilterBoundsAreUpperBounds:
     def test_bag_distance_lower_bounds_edit_distance(self, left, right):
         assert bag_distance(left, right) <= levenshtein_distance(left, right)
 
+    @given(left=st.one_of(word, adversarial_text),
+           right=st.one_of(word, adversarial_text))
+    @settings(max_examples=300)
+    def test_bag_distance_equals_counter_definition(self, left, right):
+        assert bag_distance(left, right) == counter_bag_distance(left, right)
+
     @given(left=word, right=word)
     @settings(max_examples=200)
     def test_bounds_dominate_damerau_too(self, left, right):
@@ -81,18 +102,18 @@ class TestBoundedLevenshteinAgreement:
     @settings(max_examples=300)
     def test_equals_exact_within_cap(self, left, right, cap):
         exact = levenshtein_distance(left, right)
-        banded = bounded_levenshtein(left, right, cap)
+        capped = bounded_levenshtein(left, right, cap)
         if exact <= cap:
-            assert banded == exact
+            assert capped == exact
         else:
-            assert banded == cap + 1
+            assert capped == cap + 1
 
     def test_seeded_corpus_agreement(self):
         for left, right in seeded_pairs(seed=101):
             exact = levenshtein_distance(left, right)
             for cap in (0, 1, 2, 5, 30):
-                banded = bounded_levenshtein(left, right, cap)
-                assert banded == (exact if exact <= cap else cap + 1)
+                capped = bounded_levenshtein(left, right, cap)
+                assert capped == (exact if exact <= cap else cap + 1)
 
 
 class TestBoundedEditSimilarity:

@@ -1,11 +1,15 @@
-"""Unit tests for comparison filters (length/bag bounds, banded DP)."""
+"""Unit tests for comparison filters (length/bag bounds, capped kernel).
+
+Exact distances come from the frozen textbook DP in
+:mod:`tests.similarity.reference_levenshtein`, not from the kernel.
+"""
 
 import pytest
 
 from repro.similarity import (bag_distance, bag_filter_bound,
                               bounded_levenshtein, filtered_edit_similarity,
-                              length_filter_bound, levenshtein_distance,
-                              levenshtein_similarity)
+                              length_filter_bound, levenshtein_similarity)
+from tests.similarity.reference_levenshtein import levenshtein_distance
 
 
 class TestLengthFilter:

@@ -252,7 +252,9 @@ class TestBoundedLevenshteinProperty:
     @settings(max_examples=300)
     def test_agrees_with_exact_within_cap(self, a, b, cap):
         from repro.similarity import bounded_levenshtein
-        exact = levenshtein_distance(a, b)
+        from tests.similarity.reference_levenshtein import (
+            levenshtein_distance as frozen_distance)
+        exact = frozen_distance(a, b)
         bounded = bounded_levenshtein(a, b, cap)
         if exact <= cap:
             assert bounded == exact
