@@ -49,6 +49,19 @@ from .stages import (CandidateContext, ClosureStrategy, Compare,
 from .window import CompareBlock, block_classifier, pairwise
 
 
+class _Universe:
+    """A candidate's instance eids, listed only when a closure iterates
+    them: a live closure that keeps its own state never does."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        self.table = table
+
+    def __iter__(self):
+        return iter(self.table.eids())
+
+
 class DetectionEngine:
     """One engine, four pluggable stages, optional instrumentation.
 
@@ -245,7 +258,7 @@ class DetectionEngine:
                     # uninterrupted run.
                     pairs = restored["pairs"]
                     cluster_set = self.closure.close(spec.name, pairs,
-                                                     table.eids())
+                                                     _Universe(table))
                     cluster_sets[spec.name] = cluster_set
                     compare_stats = None
                     if restored["stats"] is not None:
@@ -319,7 +332,7 @@ class DetectionEngine:
 
                 closure_start = time.perf_counter()
                 cluster_set = self.closure.close(spec.name, pairs,
-                                                 table.eids())
+                                                 _Universe(table))
                 closure_seconds = time.perf_counter() - closure_start
                 if emit is not None:
                     emit.phase_finished(PHASE_CLOSURE, closure_seconds,

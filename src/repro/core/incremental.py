@@ -11,13 +11,13 @@ that to XML as an engine configuration built from three stateful stages:
 * :class:`IncrementalNeighborhood` — per candidate and per key a sorted
   key list persists across batches, and each new batch visits only the
   sort positions within ``window − 1`` after a *new* instance.
-* :class:`BatchClosure` — a union-find forest that survives across
-  batches supplies the live cluster state for descendant evidence; each
-  batch registers only its new instances and unions only the pairs it
-  confirmed.
+* :class:`BatchClosure` — cluster labels that survive across batches
+  (:class:`~repro.core.clusters.ClusterLabels`: each instance mapped to
+  the smallest eid of its cluster) supply the live cluster state for
+  descendant evidence; each batch registers only its new instances and
+  unions only the pairs it confirmed.
 
-So one batch costs in proportion to the batch, not to the session, up
-to the per-batch :class:`~repro.core.clusters.ClusterSet` snapshot.
+So one batch costs in proportion to the batch, not to the session.
 
 One documented trade-off of incrementality: a parent pair compared in
 an earlier batch is not re-examined when a later batch merges
@@ -29,7 +29,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from ..clustering import UnionFind
 from ..config import SxnmConfig
 from ..errors import DetectionError
 from ..xmlmodel import XmlDocument, parse
@@ -191,10 +190,12 @@ class IncrementalNeighborhood:
 class BatchClosure(LiveClosure):
     """Live closure that folds in only what the current batch added.
 
-    The engine hands ``close`` the session's whole pair set and
-    universe, but the forest already holds every earlier instance and
-    pair: only the batch's new rows and newly confirmed pairs, recorded
-    on the candidate states, are registered and unioned.
+    The engine hands ``close`` the session's whole pair set and a
+    universe over the whole table, but the labels already hold every
+    earlier instance and pair: only the batch's new rows and newly
+    confirmed pairs, recorded on the candidate states, are registered
+    and unioned, and the universe is never listed.  The snapshot
+    ``close`` returns is one copy of the label map.
     """
 
     def __init__(self, states: dict[str, _CandidateState]):
@@ -217,11 +218,11 @@ class IncrementalSxnm:
     delete: a batch commits only the rows and pairs it added, as one
     delta segment, and a delete commits a full snapshot.  A new
     :class:`IncrementalSxnm` over the same directory (and the same
-    configuration fingerprint) restores it: batches continue
-    bit-identically to a session that never restarted.  Sorted key
-    lists and the union-find forest are *rebuilt* from the restored
-    tables and pairs — both reconstructions are canonical, so no
-    ordering state needs to persist.
+    configuration fingerprint, ``window`` and ``decision``) restores
+    it: batches continue bit-identically to a session that never
+    restarted.  Sorted key lists and cluster labels are *rebuilt* from
+    the restored tables and pairs — both reconstructions are canonical,
+    so no ordering state needs to persist.
     """
 
     def __init__(self, config: SxnmConfig, window: int | None = None,
@@ -272,12 +273,13 @@ class IncrementalSxnm:
         directory = getattr(self.config, "index_dir", None)
         if not directory or not getattr(self.config, "index_persist", True):
             return None
-        from .index import DetectionIndex, config_fingerprint
+        from .index import DetectionIndex, session_fingerprint
         index = DetectionIndex(directory, warn=self._warn)
         index.open()
         if not index.usable:
             return None
-        fingerprint = config_fingerprint(self.config)
+        fingerprint = session_fingerprint(self.config, self.window,
+                                          self.decision)
         restored_candidates = 0
         if index.fingerprint is None:
             # A fresh directory: stamp it so segments carry the
@@ -287,9 +289,9 @@ class IncrementalSxnm:
         elif index.fingerprint != fingerprint:
             self._warn(
                 f"detection index: session in {directory!r} was recorded "
-                f"under a different configuration fingerprint; starting "
-                f"a fresh session")
-            index.initialize(self.config)
+                f"under a different configuration fingerprint (config, "
+                f"window or decision rule); starting a fresh session")
+            index.initialize(self.config, fingerprint)
         else:
             restored_candidates = self._restore_session(index)
         emit = self._emit()
@@ -320,16 +322,13 @@ class IncrementalSxnm:
             state.comparisons = session["comparisons"].get(name, 0)
             state.new_rows = []
             state.new_pairs = []
-            self._rebuild_forest(name, state)
+            self._rebuild_labels(name, state)
         self.restored = restored > 0
         return restored
 
-    def _rebuild_forest(self, name: str, state: _CandidateState) -> None:
-        """Replace ``name``'s forest with the closure of its state."""
-        forest = UnionFind(state.table.eids())
-        for left, right in state.pairs:
-            forest.union(left, right)
-        self._closure._forests[name] = forest
+    def _rebuild_labels(self, name: str, state: _CandidateState) -> None:
+        """Replace ``name``'s cluster labels with the closure of its state."""
+        self._closure.rebuild(name, state.table.eids(), state.pairs)
 
     def _commit_session(self, fold: bool = False) -> None:
         if self._index is None:
@@ -367,7 +366,7 @@ class IncrementalSxnm:
             # no closure folded in and no delta will carry: close over
             # the states again and make the next commit a snapshot.
             for name, state in self._states.items():
-                self._rebuild_forest(name, state)
+                self._rebuild_labels(name, state)
             self._fold_next = True
             raise
         self._batches += 1
@@ -380,13 +379,14 @@ class IncrementalSxnm:
         """Remove ingested instances; re-window perturbed neighborhoods.
 
         Every candidate row whose eid is in ``eids`` leaves its table,
-        sorted key lists, confirmed pairs, and the live forest (child
-        references to deleted descendants are dropped too).  Survivors
-        that sat within ``window − 1`` sort positions of a removed
-        entry form new neighborhoods, so exactly those are re-windowed
-        — candidates bottom-up, with live descendant evidence — and
-        newly confirmed pairs union into the forest.  Returns the
-        per-candidate count of pairs confirmed by the re-windowing.
+        sorted key lists, confirmed pairs, and the live cluster labels
+        (child references to deleted descendants are dropped too).
+        Survivors that sat within ``window − 1`` sort positions of a
+        removed entry form new neighborhoods, so exactly those are
+        re-windowed — candidates bottom-up, with live descendant
+        evidence — and newly confirmed pairs union into the labels.
+        Returns the per-candidate count of pairs confirmed by the
+        re-windowing.
         """
         doomed = set(eids)
         confirmed: dict[str, int] = {}
@@ -420,7 +420,7 @@ class IncrementalSxnm:
                 state.table = self._strip_table(spec.name, state.table,
                                                 removed_eids, doomed)
             if removed_eids:
-                self._rebuild_forest(spec.name, state)
+                self._rebuild_labels(spec.name, state)
             state.new_rows = []
             state.new_pairs = []
             confirmed[spec.name] = self._rewindow(spec, state, window,
@@ -466,9 +466,9 @@ class IncrementalSxnm:
             state.comparisons += slide(
                 (state.table.row(eid) for _, eid in order), window,
                 classify, state.pairs, fresh=perturbed)
-        forest = self._closure.forest(spec.name)
+        labels = self._closure.labels(spec.name)
         for left, right in confirmed:
-            forest.union(left, right)
+            labels.union(left, right)
         return len(confirmed)
 
     def update(self, eids, source: str | XmlDocument) -> dict[str, int]:
@@ -493,9 +493,8 @@ class IncrementalSxnm:
         return self._states[candidate_name].comparisons
 
     def cluster_set(self, candidate_name: str) -> ClusterSet:
-        """Materialized snapshot of the current clusters."""
-        return ClusterSet(candidate_name,
-                          self._closure.forest(candidate_name).groups())
+        """Snapshot of the current clusters (cids are smallest eids)."""
+        return self._closure.labels(candidate_name).snapshot(candidate_name)
 
     def instance_count(self, candidate_name: str) -> int:
         """Number of ingested instances of ``candidate_name``."""

@@ -118,6 +118,16 @@ def config_fingerprint(config) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def session_fingerprint(config, window: int | None, decision: str) -> str:
+    """:func:`config_fingerprint` plus an incremental session's own
+    result-affecting arguments, the window override and the decision
+    rule, as one digest of the same 16-hex form."""
+    blob = json.dumps({"config": config_fingerprint(config),
+                       "window": window, "decision": decision},
+                      sort_keys=True, ensure_ascii=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
 def corpus_checksum(source) -> str:
     """A short digest identifying the detected corpus.
 
@@ -451,10 +461,13 @@ class DetectionIndex:
                           if not key.startswith("run/")}
         self._flush_manifest()
 
-    def initialize(self, config) -> None:
-        """``sxnm index init``: stamp an empty index with the config."""
+    def initialize(self, config, fingerprint: str | None = None) -> None:
+        """``sxnm index init``: stamp an empty index with the config's
+        fingerprint, or with ``fingerprint`` when one is given."""
         self.manifest = self._empty_manifest()
-        self.manifest["config_fingerprint"] = config_fingerprint(config)
+        self.manifest["config_fingerprint"] = (
+            fingerprint if fingerprint is not None
+            else config_fingerprint(config))
         self._payloads.clear()
         self._tables = None
         self._session_bytes = None

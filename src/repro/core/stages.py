@@ -13,8 +13,8 @@ workflow:
   (similarity thresholds with gates/combined decisions and optional
   length/bag filters, equational theories, or OD-only for top-down).
 * :class:`ClosureStrategy` — how confirmed pairs become cluster sets
-  (union-find, the 2006-era quadratic algorithm, or a live union-find
-  that persists across incremental batches).
+  (union-find, the 2006-era quadratic algorithm, or live cluster labels
+  that persist across incremental batches).
 
 Every concrete implementation delegates to the same kernels the original
 detector variants used (:mod:`repro.core.window`,
@@ -26,16 +26,15 @@ pairs, clusters, and comparison counts.
 from __future__ import annotations
 
 import copy
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
-from ..clustering import UnionFind
 from ..config import CandidateSpec, SxnmConfig
 from ..similarity import ComparisonPlan, PhiCache
 from ..xmlmodel import XmlDocument, parse
 from .candidates import CandidateHierarchy, CandidateNode
-from .clusters import ClusterSet
+from .clusters import ClusterLabels, ClusterSet
 from .gk import GkRow, GkTable
 from .keygen import generate_gk, generate_gk_streaming
 from .observer import ObserverGroup
@@ -502,10 +501,14 @@ class ParentGroupedStrategy:
 
 @runtime_checkable
 class ClosureStrategy(Protocol):
-    """Stage 4: transitive closure over the confirmed pairs."""
+    """Stage 4: transitive closure over the confirmed pairs.
+
+    ``universe`` yields every instance eid of the candidate when
+    iterated; the engine lists the eids only if the closure does so.
+    """
 
     def close(self, candidate_name: str, pairs: set[tuple[int, int]],
-              universe: list[int]) -> ClusterSet:
+              universe: Iterable[int]) -> ClusterSet:
         ...
 
 
@@ -538,26 +541,35 @@ class MethodClosure:
 
 
 class LiveClosure:
-    """Persistent union-find closure for incremental batch detection.
+    """Persistent closure for incremental batch detection.
 
-    Forests survive across runs: each ``close`` call registers the
-    current universe, unions the confirmed pairs, and snapshots the
-    partition.  ``forest(name)`` exposes the live state.
+    Each candidate keeps one :class:`~repro.core.clusters.ClusterLabels`
+    that survives across runs: a ``close`` call registers the universe,
+    unions the confirmed pairs, and returns a snapshot whose cids are the
+    clusters' smallest eids — one lookup in a copy of the label map.
+    ``labels(name)`` exposes the live state; ``rebuild`` replaces it
+    with the closure of a restored universe and pair set.
     """
 
     def __init__(self):
-        self._forests: dict[str, UnionFind] = {}
+        self._labels: dict[str, ClusterLabels] = {}
 
-    def forest(self, candidate_name: str) -> UnionFind:
-        return self._forests.setdefault(candidate_name, UnionFind())
+    def labels(self, candidate_name: str) -> ClusterLabels:
+        labels = self._labels.get(candidate_name)
+        if labels is None:
+            labels = self._labels[candidate_name] = ClusterLabels()
+        return labels
+
+    def rebuild(self, candidate_name: str, universe: Iterable[int],
+                pairs: Iterable[tuple[int, int]]) -> None:
+        self._labels[candidate_name] = ClusterLabels(universe, pairs)
 
     def close(self, candidate_name, pairs, universe):
-        forest = self.forest(candidate_name)
-        for eid in universe:
-            forest.add(eid)
+        labels = self.labels(candidate_name)
+        labels.add(universe)
         for left, right in pairs:
-            forest.union(left, right)
-        return ClusterSet(candidate_name, forest.groups())
+            labels.union(left, right)
+        return labels.snapshot(candidate_name)
 
 
 @dataclass

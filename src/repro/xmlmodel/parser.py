@@ -13,9 +13,13 @@ The grammar covered is the subset needed for data-centric XML: elements,
 attributes (single- or double-quoted), character data, comments, CDATA
 sections, processing instructions, an optional XML declaration and DOCTYPE
 (both skipped), and the five predefined entities plus XML 1.0 decimal and
-hexadecimal character references.  Namespace prefixes are kept verbatim as
-part of tag names.  Errors raise :class:`~repro.errors.XmlParseError` with
-line/column information.
+hexadecimal character references.  Character data, attribute values,
+comments, processing instructions and CDATA sections hold only XML 1.0
+``Char`` code points: a raw control character other than tab, newline or
+carriage return, a lone surrogate, U+FFFE or U+FFFF is an error naming the
+code point.  Namespace prefixes are kept verbatim as part of tag names.
+Errors raise :class:`~repro.errors.XmlParseError` with line/column
+information.
 
 Every entry point runs one tokenizer: a compiled master pattern (character
 data | start tag with its attributes | end tag | CDATA | comment | PI)
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 from ..errors import XmlParseError
@@ -56,25 +60,40 @@ _PREDEFINED_ENTITIES = {
 _NAME = re.compile(r"[\w.:-]+")
 _SPACES = re.compile(r"[ \t\r\n]*")
 
-# One attribute with its name and value captured, and a run of them
-# without captures (the master pattern's start-tag group).
+# The code points outside XML 1.0's ``Char`` production.  Every class
+# of the master pattern that spans character data, an attribute value, a
+# comment, a PI or CDATA leaves them out, so a token stops in front of
+# one and the error path names it.
+_NOT_CHAR = r"\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
+
+# A run of attributes without captures (the master pattern's start-tag
+# group), and one attribute with its name and value captured: it only
+# reads runs the master pattern or the run pattern already matched.
+_ATTRIBUTES = (r"(?:[ \t\r\n]*[\w.:-]+[ \t\r\n]*=[ \t\r\n]*"
+               f"(?:\"[^\"{_NOT_CHAR}]*\"|'[^'{_NOT_CHAR}]*'))*")
 _ATTRIBUTE = re.compile(
     r"""[ \t\r\n]*([\w.:-]+)[ \t\r\n]*=[ \t\r\n]*(?:"([^"]*)"|'([^']*)')""")
-_ATTRIBUTES = r"""(?:[ \t\r\n]*[\w.:-]+[ \t\r\n]*=[ \t\r\n]*(?:"[^"]*"|'[^']*'))*"""
-_ATTRIBUTE_RUN = re.compile(_ATTRIBUTES)
+
+
+@cache
+def _compiled_on_use(pattern: str) -> re.Pattern:
+    """``pattern``, compiled on its first use.  A class without the
+    non-``Char`` code points takes a large table to compile, so the
+    patterns that only :meth:`_Tokenizer.unmatched` reads stay out of
+    import time."""
+    return re.compile(pattern)
 
 # Group 1: character data.  Start tag: 2 name, 3 attributes, 4 the "/"
 # of an empty element.  5: end-tag name.  6: CDATA content.  A comment
 # or processing instruction matches with no group (``lastindex`` None).
 # The look-ahead stops a start-tag name giving characters to an attribute.
 _TOKEN = re.compile(
-    r"([^<]+)"
+    f"([^<{_NOT_CHAR}]+)"
     r"|<([\w.:-]+)(?![\w.:-])(" + _ATTRIBUTES + r")[ \t\r\n]*(/?)>"
     r"|</([\w.:-]+)[ \t\r\n]*>"
-    r"|<!\[CDATA\[(.*?)\]\]>"
-    r"|<!--.*?-->"
-    r"|<\?.*?\?>",
-    re.DOTALL)
+    f"|<!\\[CDATA\\[([^{_NOT_CHAR}]*?)\\]\\]>"
+    f"|<!--[^{_NOT_CHAR}]*?-->"
+    f"|<\\?[^{_NOT_CHAR}]*?\\?>")
 
 _REFERENCE = re.compile(r"&([^;]*);")
 _CHARACTER_REFERENCE = re.compile(r"#([0-9]+)|#x([0-9a-fA-F]+)")
@@ -177,6 +196,11 @@ class _Tokenizer:
             last = self._last_newline_abs - self.offset
         return XmlParseError(message, line=line, column=index - last)
 
+    def illegal(self, index: int) -> XmlParseError:
+        """The error for the non-``Char`` code point at ``buffer[index]``."""
+        return self.error(f"illegal XML character U+"
+                          f"{ord(self.buffer[index]):04X}", index)
+
     def decode(self, raw: str, at: int) -> str:
         """Replace the references in ``raw``; errors are located at ``at``."""
         def replace(reference: re.Match) -> str:
@@ -246,8 +270,13 @@ class _Tokenizer:
                     size = len(buffer)
                     continue
                 text = token.group(1)
+                # A run that stops short of "<" and of the input's end
+                # stops at a non-Char, which is reported before anything
+                # the run itself holds.
                 if stack:
                     if "&" in text:
+                        if end < size and buffer[end] != "<":
+                            raise self.illegal(end)
                         text = self.decode(text, end)
                     yield _event(("text", text))
                 elif stage == _AFTER_ROOT:
@@ -255,6 +284,8 @@ class _Tokenizer:
                     if stray < len(text):
                         raise self.error("content after the root element",
                                          pos + stray)
+                elif end < size and buffer[end] != "<":
+                    raise self.illegal(end)
                 elif text.strip():
                     raise self.error("character data outside the root element", end)
                 elif text.strip(" \t\r\n"):
@@ -304,7 +335,8 @@ class _Tokenizer:
             pos = end  # comments and processing instructions are skipped
 
     def unmatched(self, pos: int, stage: int, inside: bool) -> int | None:
-        """Deal with the ``<`` at ``pos`` that no token matched.
+        """Deal with the ``<`` or non-``Char`` at ``pos`` that no token
+        matched.
 
         Returns the position after a skipped DOCTYPE, or None when more
         input may still complete the construct; otherwise raises the
@@ -312,6 +344,10 @@ class _Tokenizer:
         """
         buffer, eof = self.buffer, self.eof
         size = len(buffer)
+        if buffer[pos] != "<":
+            if stage == _AFTER_ROOT:
+                raise self.error("content after the root element", pos)
+            raise self.illegal(pos)
         if not eof and size - pos < len("<![CDATA["):
             return None  # it could still open any construct
         misc = not inside and stage != _BEFORE_ROOT  # DOCTYPE allowed here
@@ -346,10 +382,20 @@ class _Tokenizer:
             raise self.error("expected '>'", close)
         else:
             return self.unmatched_start_tag(pos)
+        self.check_chars(pos + opener, buffer.find(terminator, pos + opener))
         if not eof:
             return None
         raise self.error(f"unterminated construct, expected {terminator!r}",
                          pos + opener)
+
+    def check_chars(self, start: int, end: int) -> None:
+        """Raise at the first non-``Char`` in ``buffer[start:end]``, or up
+        to the buffer's end when ``end`` is -1."""
+        illegal = _compiled_on_use(f"[{_NOT_CHAR}]")
+        bad = illegal.search(self.buffer, start,
+                             end if end >= 0 else len(self.buffer))
+        if bad is not None:
+            raise self.illegal(bad.start())
 
     def unmatched_start_tag(self, pos: int) -> None:
         """Raise the error of the start tag at ``pos``, or return None
@@ -359,7 +405,7 @@ class _Tokenizer:
         name = _NAME.match(buffer, pos + 1)
         if name is None or not _is_name_start(buffer[pos + 1]):
             raise self.error("expected an XML name", pos + 1)
-        attributes = _ATTRIBUTE_RUN.match(buffer, name.end())
+        attributes = _compiled_on_use(_ATTRIBUTES).match(buffer, name.end())
         self.attributes(name.end(), attributes.end())
         index = _SPACES.match(buffer, attributes.end()).end()
         char = buffer[index:index + 1]
@@ -378,6 +424,7 @@ class _Tokenizer:
                 return None
             if index == size or buffer[index] not in "'\"":
                 raise self.error("attribute value must be quoted", index)
+            self.check_chars(index + 1, buffer.find(buffer[index], index + 1))
             if not eof:
                 return None  # the closing quote is not buffered yet
             raise self.error("unterminated construct, expected "

@@ -276,7 +276,9 @@ class TestClosureStrategies:
         second = closure.close("item", {(3, 4)}, [1, 2, 3, 4])
         assert self.partition(second) == {frozenset({1, 2}),
                                           frozenset({3, 4})}
-        assert set(closure.forest("item").groups()[0]) <= {1, 2, 3, 4}
+        assert self.partition(first) == {frozenset({1, 2}), frozenset({3})}
+        assert self.partition(closure.labels("item").snapshot("item")) \
+            == self.partition(second)
 
 
 # ---------------------------------------------------------------------------

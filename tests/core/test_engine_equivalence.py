@@ -27,7 +27,8 @@ from repro.core.observer import EngineObserver
 from repro.core.simmeasure import SimilarityMeasure, od_similarity_upper_bound
 from repro.core.stages import od_only_spec
 from repro.datagen import generate_dataset2, generate_dirty_movies
-from repro.experiments import dataset1_config, dataset2_config
+from repro.experiments import (dataset1_config, dataset2_config,
+                               scalability_config)
 from repro.similarity import get_similarity
 from repro.xmlmodel import XmlDocument, serialize
 from tests.core.reference_window import adaptive_window_pass, multipass
@@ -194,8 +195,9 @@ def reference_incremental(config: SxnmConfig, batches, window: int,
     """The historical IncrementalSxnm loop, restated on the kernels.
 
     It walks every sorted key list in full on every batch; ``compared``,
-    if given, receives ``(candidate, left_eid, right_eid)`` per compare
-    call, in call order.
+    if given, receives ``(candidate, left_eid, right_eid, od,
+    descendants)`` per compare call, in call order, with the verdict's
+    OD and descendant similarities.
     """
     hierarchy = CandidateHierarchy(config)
     names = [spec.name for spec in config.candidates]
@@ -243,10 +245,12 @@ def reference_incremental(config: SxnmConfig, batches, window: int,
                         if pair in all_pairs[name]:
                             continue
                         comparisons[name] += 1
+                        verdict = measure.compare(table.row(pair[0]),
+                                                  table.row(pair[1]))
                         if compared is not None:
-                            compared.append((name, *pair))
-                        if measure.compare(table.row(pair[0]),
-                                           table.row(pair[1])).is_duplicate:
+                            compared.append((name, *pair, verdict.od,
+                                             verdict.descendants))
+                        if verdict.is_duplicate:
                             all_pairs[name].add(pair)
             forest = forests[name]
             for eid in table.eids():
@@ -449,36 +453,57 @@ class TestIncrementalGolden:
         for name, total in delta_total.items():
             assert total == len(incremental.pairs(name))
 
-    def test_multi_batch_matches_frozen_reference(self):
-        """Three batches through IncrementalSxnm == the restated loop.
-
-        The session visits only sort positions near new entries, yet
-        makes the reference's full-walk compare calls in the same order.
-        """
+    @staticmethod
+    def assert_session_matches_reference(config, batches, window):
         class CompareOrder(EngineObserver):
             def __init__(self):
                 self.calls = []
 
             def pair_compared(self, candidate, left_eid, right_eid,
                               verdict):
-                self.calls.append((candidate, left_eid, right_eid))
+                self.calls.append((candidate, left_eid, right_eid,
+                                   verdict.od, verdict.descendants))
 
-        config = dataset1_config()
-        batches = [generate_dirty_movies(20, seed=seed,
-                                         profile="effectiveness")
-                   for seed in (31, 32, 33)]
         order = CompareOrder()
-        incremental = IncrementalSxnm(config, window=6, observers=[order])
+        incremental = IncrementalSxnm(config, window=window,
+                                      observers=[order])
         for batch in batches:
             incremental.add_batch(batch)
         compared = []
-        reference = reference_incremental(config, batches, window=6,
+        reference = reference_incremental(config, batches, window=window,
                                           compared=compared)
         for name, (pairs, comparisons, clusters) in reference.items():
             assert incremental.pairs(name) == pairs
             assert incremental.comparisons(name) == comparisons
             assert partition(incremental.cluster_set(name)) == clusters
         assert order.calls == compared
+        return compared
+
+    def test_multi_batch_matches_frozen_reference(self):
+        """Three batches through IncrementalSxnm == the restated loop.
+
+        The session visits only sort positions near new entries, yet
+        makes the reference's full-walk compare calls in the same order,
+        each with a bit-identical OD score.
+        """
+        config = dataset1_config()
+        batches = [generate_dirty_movies(20, seed=seed,
+                                         profile="effectiveness")
+                   for seed in (31, 32, 33)]
+        self.assert_session_matches_reference(config, batches, window=6)
+
+    def test_multi_batch_with_descendants_matches_frozen_reference(self):
+        """Movie/title/person batches: descendant evidence comes from the
+        session's live cluster labels, whose cids are smallest eids where
+        the reference's are ordinals; every verdict's descendant
+        similarity is still bit-identical."""
+        config = scalability_config()
+        batches = [generate_dirty_movies(8, seed=seed, profile="many")
+                   for seed in (41, 42, 43, 44)]
+        compared = self.assert_session_matches_reference(config, batches,
+                                                         window=3)
+        scores = {call[4] for call in compared if call[0] == "movie"}
+        assert None not in scores and len(scores) > 2
 
 
 class TestParallelDetectionGolden:

@@ -155,6 +155,28 @@ class TestSessionRestore:
         assert reopened.restored is True
         assert session_view(reopened) == session_view(fresh)
 
+        # The session's window override and decision rule change pairs
+        # as much as the config does, so they belong to the fingerprint.
+        for label, changed in (("window", {"window": 8}),
+                               ("decision", {"window": 3,
+                                             "decision": "combined"})):
+            directory = str(tmp_path / label)
+            written = IncrementalSxnm(dataset2_config(window=5), window=3,
+                                      decision="gates", index_dir=directory)
+            written.add_batch(BATCH_1)
+            counter = CounterObserver()
+            drifted = IncrementalSxnm(dataset2_config(window=5),
+                                      index_dir=directory,
+                                      observers=[counter], **changed)
+            assert drifted.restored is False, label
+            assert any("different configuration fingerprint" in line
+                       for line in counter.warnings), label
+            drifted.add_batch(BATCH_1)
+            same = IncrementalSxnm(dataset2_config(window=5),
+                                   index_dir=directory, **changed)
+            assert same.restored is True, label
+            assert session_view(same) == session_view(drifted)
+
     def test_damaged_session_segment_starts_fresh(self, tmp_path):
         import os
         index_dir = tmp_path / "session"

@@ -17,8 +17,12 @@ from repro.similarity import (damerau_levenshtein_distance, jaccard,
                               ngram_similarity, soundex)
 from repro.xmlmodel import XmlElement, escape_attribute, escape_text, parse, serialize
 
+#: XML 1.0 ``Char`` only: no surrogates (Cs), no control characters (Cc),
+#: and neither of the noncharacters U+FFFE and U+FFFF.
 text_strategy = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs", "Cc")), max_size=40)
+    alphabet=st.characters(blacklist_categories=("Cs", "Cc"),
+                           blacklist_characters="\ufffe\uffff"),
+    max_size=40)
 simple_text = st.text(alphabet=string.ascii_letters + string.digits + " .,-",
                       max_size=30)
 tag_strategy = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,10}", fullmatch=True)

@@ -2,12 +2,13 @@
 
 This is the parser's historical in-memory path (``_Scanner`` +
 ``_scan_events``), kept as an independent oracle for the regex tokenizer
-in :mod:`repro.xmlmodel.parser`.  The one change since it was frozen is
-the XML 1.0 character-reference rule: only ``&#[0-9]+;`` and
-``&#x[0-9a-fA-F]+;`` naming a legal ``Char`` are accepted.  Do not
-optimise or refactor it: the differential tests in
-``test_parser_differential.py`` are only as strong as this code is
-independent.
+in :mod:`repro.xmlmodel.parser`.  Two XML 1.0 rules were added since it
+was frozen: only ``&#[0-9]+;`` and ``&#x[0-9a-fA-F]+;`` naming a legal
+``Char`` are accepted as character references, and every raw code point
+the scanner reads as character data, an attribute value, a comment, a PI
+or CDATA must be a ``Char``.  Do not optimise or refactor it: the
+differential tests in ``test_parser_differential.py`` are only as strong
+as this code is independent.
 """
 
 from __future__ import annotations
@@ -89,9 +90,19 @@ class _Scanner:
         while self.pos < self.length and self.data[self.pos] in " \t\r\n":
             self.pos += 1
 
+    def check_chars(self, end: int) -> None:
+        """Raise at the first code point in ``data[pos:end]`` that is not
+        an XML 1.0 ``Char``."""
+        for index in range(self.pos, end):
+            code = ord(self.data[index])
+            if not _is_xml_char(code):
+                self.pos = index
+                raise self.error(f"illegal XML character U+{code:04X}")
+
     def read_until(self, terminator: str) -> str:
         """Read up to (not including) ``terminator``; consume the terminator."""
         index = self.data.find(terminator, self.pos)
+        self.check_chars(index if index >= 0 else self.length)
         if index < 0:
             raise self.error(f"unterminated construct, expected {terminator!r}")
         chunk = self.data[self.pos:index]
@@ -114,6 +125,7 @@ class _Scanner:
         left unconsumed.
         """
         index = self.data.find("<", self.pos)
+        self.check_chars(index if index >= 0 else self.length)
         if index < 0:
             chunk = self.data[self.pos:]
             self.pos = self.length

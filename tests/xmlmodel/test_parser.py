@@ -170,6 +170,51 @@ class TestErrorLocations:
         assert (info.value.line, info.value.column) == (line, column)
 
 
+class TestNonCharacters:
+    """Raw code points outside XML 1.0 ``Char`` are itemized errors on
+    every read path, in every construct that holds text."""
+
+    CONSTRUCTS = {
+        "text": "<a>\n  x{}y</a>",
+        "attribute": "<a>\n  <b c='x{}y'/></a>",
+        "comment": "<a>\n  <!-- x{}y --></a>",
+        "pi": "<a>\n  <?p x{}y?></a>",
+        "cdata": "<a>\n  <![CDATA[x{}y]]></a>",
+    }
+    CHARS = ["\x00", "\x01", "\x08", "\x0b", "\x0c", "\x1f", "\ud800",
+             "\udfff", "\ufffe", "\uffff"]
+
+    @pytest.mark.parametrize("char", CHARS, ids=lambda c: f"U+{ord(c):04X}")
+    @pytest.mark.parametrize("construct", sorted(CONSTRUCTS))
+    def test_rejected_on_every_read_path(self, construct, char, tmp_path):
+        from repro.xmlmodel import iter_events_file, iter_events_stream
+        data = self.CONSTRUCTS[construct].format(char)
+        column = data.split("\n")[1].index(char) + 1
+        expected = (f"illegal XML character U+{ord(char):04X} "
+                    f"at line 2, column {column}")
+        reads = [lambda: parse(data), lambda: list(iter_events(data))]
+        for chunk_size in (1, 3, 64):
+            reads.append(lambda chunk_size=chunk_size: list(
+                iter_events_stream(io.StringIO(data), chunk_size)))
+        if not "\ud800" <= char <= "\udfff":  # UTF-8 cannot hold these
+            path = tmp_path / "doc.xml"
+            path.write_text(data, encoding="utf-8")
+            reads.append(lambda: parse_file(str(path), chunk_size=2))
+            reads.append(lambda: list(iter_events_file(str(path))))
+        for read in reads:
+            with pytest.raises(XmlParseError) as info:
+                read()
+            assert str(info.value) == expected
+            assert (info.value.line, info.value.column) == (2, column)
+
+    def test_legal_characters_still_parse(self):
+        text = "\t\r\n\x7f\x85\ud7ff\ue000\ufffd\U00010000\U0010ffff"
+        document = parse(f"<a b='{text}'>{text}<!--{text}--><?p {text}?>"
+                         f"<![CDATA[{text}]]></a>")
+        assert document.root.get("b") == text
+        assert document.root.text == text + text  # text, then the CDATA
+
+
 class TestStreaming:
     def test_event_sequence(self):
         events = list(iter_events("<a x='1'><b>t</b></a>"))
