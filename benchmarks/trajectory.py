@@ -1,16 +1,18 @@
 """Append perfbench's end-to-end results to ``BENCH_trajectory.jsonl``.
 
     python3 benchmarks/trajectory.py --pr 21 --side change \\
-        --parent 9ee080a [--checkout DIR] [--seed 1] [--workload NAME ...]
+        --parent 9ee080a [--checkout DIR]
 
-Runs ``perfbench/run.py --probe-ref 0.0001 --seed SEED --seconds 10
---trace 0`` once per workload, in the checkout ``--checkout`` (this
-repository by default; a copy of the parent commit for the ``parent``
-side), and appends one JSON line per workload to the trajectory file at
-this repository's root.  A line holds the PR number, the side, the
-parent commit, the seed, the workload, perfbench's four end-to-end
-metrics with their units, ``correct``/``attempted``/``failed``, and the
-host facts from perfbench's context line.
+Runs ``perfbench/run.py --probe-ref 0.0001 --seed 1 --seconds 10
+--trace 0`` once per perfbench workload, in the checkout ``--checkout``
+(this repository by default; a copy of the parent commit for the
+``parent`` side), and appends one JSON line per workload to the
+trajectory file at this repository's root.  Seed and workloads are
+fixed, so every line compares with every other.  A line holds the PR
+number, the side, the parent commit, the seed, the workload,
+perfbench's four end-to-end metrics with their units,
+``correct``/``attempted``/``failed``, and the host facts from
+perfbench's context line.
 """
 
 from __future__ import annotations
@@ -22,17 +24,19 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from run import WORKLOAD_NAMES  # noqa: E402
+
 TRAJECTORY = os.path.join(ROOT, "BENCH_trajectory.jsonl")
-WORKLOADS = ("movies-nested", "discs-catalog-shm", "movies-incremental",
-             "movies-outofcore")
+SEED = 1
 END_TO_END = ("latency_p50_ms", "latency_p90_ms", "setup_s", "peak_rss_mb")
 
 
-def measure(checkout: str, workload: str, seed: int) -> dict:
+def measure(checkout: str, workload: str) -> dict:
     """perfbench's context and result objects for one ``--trace 0`` run."""
     completed = subprocess.run(
         [sys.executable, "perfbench/run.py", "--probe-ref", "0.0001",
-         "--workload", workload, "--seed", str(seed), "--seconds", "10",
+         "--workload", workload, "--seed", str(SEED), "--seconds", "10",
          "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     lines = completed.stdout.strip().splitlines()
@@ -44,7 +48,7 @@ def record(args, workload: str, run: dict) -> dict:
         "pr": args.pr,
         "side": args.side,
         "parent": args.parent,
-        "seed": args.seed,
+        "seed": SEED,
         "workload": workload,
         "metrics": {name: run["metrics"][name] for name in END_TO_END},
         "correct": run["correct"],
@@ -63,13 +67,9 @@ def main(argv=None) -> int:
                         help="the parent commit's abbreviated hash")
     parser.add_argument("--checkout", default=ROOT,
                         help="the checkout whose src/ is measured")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", nargs="*", choices=WORKLOADS,
-                        default=list(WORKLOADS))
     args = parser.parse_args(argv)
-    for workload in args.workload:
-        line = record(args, workload,
-                      measure(args.checkout, workload, args.seed))
+    for workload in WORKLOAD_NAMES:
+        line = record(args, workload, measure(args.checkout, workload))
         with open(TRAJECTORY, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(line, sort_keys=True) + "\n")
         print(json.dumps(line, sort_keys=True))

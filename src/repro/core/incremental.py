@@ -17,7 +17,12 @@ that to XML as an engine configuration built from three stateful stages:
   descendant evidence; each batch registers only its new instances and
   unions only the pairs it confirmed.
 
-So one batch costs in proportion to the batch, not to the session.
+So the Python-level work of one batch is in proportion to the batch,
+not to the session.  Two C-level copies remain in proportion to the
+session: the cluster snapshot each batch hands to descendant similarity
+is a ``dict.copy()`` of the label map, and each batch's ``engine.run``
+outcome reports the session's pairs through a copy of every one of them
+(``ctx.pairs.update(state.pairs)``).
 
 One documented trade-off of incrementality: a parent pair compared in
 an earlier batch is not re-examined when a later batch merges
@@ -273,27 +278,40 @@ class IncrementalSxnm:
         directory = getattr(self.config, "index_dir", None)
         if not directory or not getattr(self.config, "index_persist", True):
             return None
-        from .index import DetectionIndex, session_fingerprint
+        from .index import DetectionIndex, config_fingerprint
         index = DetectionIndex(directory, warn=self._warn)
         index.open()
         if not index.usable:
             return None
-        fingerprint = session_fingerprint(self.config, self.window,
-                                          self.decision)
+        fingerprint = config_fingerprint(self.config)
+        # The session's own result-affecting arguments sit beside the
+        # config fingerprint, which a detect run over the same
+        # directory stamps too.
+        params = {"window": self.window, "decision": self.decision}
         restored_candidates = 0
-        if index.fingerprint is None:
-            # A fresh directory: stamp it so segments carry the
-            # fingerprint from the first commit on.
-            index.manifest["config_fingerprint"] = fingerprint
-            index._flush_manifest()
-        elif index.fingerprint != fingerprint:
+        if index.fingerprint not in (None, fingerprint):
             self._warn(
                 f"detection index: session in {directory!r} was recorded "
-                f"under a different configuration fingerprint (config, "
-                f"window or decision rule); starting a fresh session")
-            index.initialize(self.config, fingerprint)
+                f"under a different configuration fingerprint; starting "
+                f"a fresh session")
+            index.initialize(self.config)
+        elif ("session" in index.manifest["segments"]
+              and index.manifest.get("session_params") != params):
+            self._warn(
+                f"detection index: session in {directory!r} was recorded "
+                f"with a different window or decision rule; starting a "
+                f"fresh session")
+            index.drop_session()
         else:
             restored_candidates = self._restore_session(index)
+        if (index.fingerprint, index.manifest.get("session_params")) \
+                != (fingerprint, params):
+            # Stamp what this session runs under, so that its segments
+            # carry the fingerprint from the first commit on and its
+            # next open can compare.
+            index.manifest["config_fingerprint"] = fingerprint
+            index.manifest["session_params"] = params
+            index._flush_manifest()
         emit = self._emit()
         if emit is not None:
             emit.index_opened(index.directory, restored_candidates,

@@ -118,16 +118,6 @@ def config_fingerprint(config) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def session_fingerprint(config, window: int | None, decision: str) -> str:
-    """:func:`config_fingerprint` plus an incremental session's own
-    result-affecting arguments, the window override and the decision
-    rule, as one digest of the same 16-hex form."""
-    blob = json.dumps({"config": config_fingerprint(config),
-                       "window": window, "decision": decision},
-                      sort_keys=True, ensure_ascii=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 def corpus_checksum(source) -> str:
     """A short digest identifying the detected corpus.
 
@@ -440,34 +430,33 @@ class DetectionIndex:
                   params: dict | None) -> None:
         """Start a fresh run: stamp identity, clear committed state.
 
-        Cumulative counters survive (they audit the directory's life);
-        the completed set and run segments do not — a non-resume run
-        re-detects everything.
+        Cumulative counters survive (they audit the directory's life),
+        and so does an incremental session sharing the directory (its
+        chain and ``session_params``); the completed set and run
+        segments do not — a non-resume run re-detects everything.
         """
         counters = self.counters()
         counters["runs"] = counters.get("runs", 0) + 1
         segments = {role: name
                     for role, name in self.manifest["segments"].items()
                     if not role.startswith("run/")}
-        session_deltas = self.manifest["session_deltas"]
+        session = {key: value for key, value in self.manifest.items()
+                   if key.startswith("session_")}
         self.manifest = self._empty_manifest()
         self.manifest["config_fingerprint"] = config_fingerprint(config)
         self.manifest["corpus_checksum"] = corpus
         self.manifest["run_params"] = params
         self.manifest["counters"] = counters
         self.manifest["segments"] = segments
-        self.manifest["session_deltas"] = session_deltas
+        self.manifest.update(session)
         self._payloads = {key: value for key, value in self._payloads.items()
                           if not key.startswith("run/")}
         self._flush_manifest()
 
-    def initialize(self, config, fingerprint: str | None = None) -> None:
-        """``sxnm index init``: stamp an empty index with the config's
-        fingerprint, or with ``fingerprint`` when one is given."""
+    def initialize(self, config) -> None:
+        """``sxnm index init``: stamp an empty index with the config."""
         self.manifest = self._empty_manifest()
-        self.manifest["config_fingerprint"] = (
-            fingerprint if fingerprint is not None
-            else config_fingerprint(config))
+        self.manifest["config_fingerprint"] = config_fingerprint(config)
         self._payloads.clear()
         self._tables = None
         self._session_bytes = None
@@ -799,6 +788,16 @@ class DetectionIndex:
         self._failed.discard("session")
         self.bump("batches_committed")
         return self._flush_manifest()
+
+    def drop_session(self) -> None:
+        """Forget the committed session, base and chain; run state stays.
+
+        The next :meth:`commit_session` writes a full snapshot, and
+        ``compact`` removes the dropped segment files.
+        """
+        self.manifest["segments"].pop("session", None)
+        self.manifest["session_deltas"] = []
+        self._session_bytes = None
 
     def load_session(self) -> dict | None:
         """Replay the committed session: the base, then each delta.

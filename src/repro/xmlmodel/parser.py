@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from functools import cache, partial
+from functools import partial
 from typing import NamedTuple
 
 from ..errors import XmlParseError
@@ -69,19 +69,13 @@ _NOT_CHAR = r"\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
 # A run of attributes without captures (the master pattern's start-tag
 # group), and one attribute with its name and value captured: it only
 # reads runs the master pattern or the run pattern already matched.
+# The error path compiles the run pattern where it uses it, through re's
+# own cache: a class that leaves out the non-Char code points takes a
+# large table to compile, which import time does not pay.
 _ATTRIBUTES = (r"(?:[ \t\r\n]*[\w.:-]+[ \t\r\n]*=[ \t\r\n]*"
                f"(?:\"[^\"{_NOT_CHAR}]*\"|'[^'{_NOT_CHAR}]*'))*")
 _ATTRIBUTE = re.compile(
     r"""[ \t\r\n]*([\w.:-]+)[ \t\r\n]*=[ \t\r\n]*(?:"([^"]*)"|'([^']*)')""")
-
-
-@cache
-def _compiled_on_use(pattern: str) -> re.Pattern:
-    """``pattern``, compiled on its first use.  A class without the
-    non-``Char`` code points takes a large table to compile, so the
-    patterns that only :meth:`_Tokenizer.unmatched` reads stay out of
-    import time."""
-    return re.compile(pattern)
 
 # Group 1: character data.  Start tag: 2 name, 3 attributes, 4 the "/"
 # of an empty element.  5: end-tag name.  6: CDATA content.  A comment
@@ -391,7 +385,7 @@ class _Tokenizer:
     def check_chars(self, start: int, end: int) -> None:
         """Raise at the first non-``Char`` in ``buffer[start:end]``, or up
         to the buffer's end when ``end`` is -1."""
-        illegal = _compiled_on_use(f"[{_NOT_CHAR}]")
+        illegal = re.compile(f"[{_NOT_CHAR}]")
         bad = illegal.search(self.buffer, start,
                              end if end >= 0 else len(self.buffer))
         if bad is not None:
@@ -405,7 +399,7 @@ class _Tokenizer:
         name = _NAME.match(buffer, pos + 1)
         if name is None or not _is_name_start(buffer[pos + 1]):
             raise self.error("expected an XML name", pos + 1)
-        attributes = _compiled_on_use(_ATTRIBUTES).match(buffer, name.end())
+        attributes = re.compile(_ATTRIBUTES).match(buffer, name.end())
         self.attributes(name.end(), attributes.end())
         index = _SPACES.match(buffer, attributes.end()).end()
         char = buffer[index:index + 1]

@@ -18,11 +18,14 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.core import ClusterSet, CounterObserver, IncrementalSxnm
+from repro.core import (ClusterSet, CounterObserver, IncrementalSxnm,
+                        SxnmDetector)
 from repro.core.index import DetectionIndex, SEGMENT_SUFFIX
 from repro.core.observer import EngineObserver
+from repro.datagen import generate_dataset2
 from repro.errors import DetectionError
 from repro.experiments import dataset1_config, dataset2_config
+from repro.xmlmodel import serialize
 from tests.core.conftest import (chain_links, disc_batches, open_session,
                                  run_session, session_state)
 
@@ -156,7 +159,7 @@ class TestSessionRestore:
         assert session_view(reopened) == session_view(fresh)
 
         # The session's window override and decision rule change pairs
-        # as much as the config does, so they belong to the fingerprint.
+        # as much as the config does, so a changed one starts fresh too.
         for label, changed in (("window", {"window": 8}),
                                ("decision", {"window": 3,
                                              "decision": "combined"})):
@@ -169,13 +172,71 @@ class TestSessionRestore:
                                       index_dir=directory,
                                       observers=[counter], **changed)
             assert drifted.restored is False, label
-            assert any("different configuration fingerprint" in line
+            assert any("different window or decision rule" in line
                        for line in counter.warnings), label
             drifted.add_batch(BATCH_1)
             same = IncrementalSxnm(dataset2_config(window=5),
                                    index_dir=directory, **changed)
             assert same.restored is True, label
             assert session_view(same) == session_view(drifted)
+
+    def test_session_without_recorded_window_and_decision_starts_fresh(
+            self, tmp_path):
+        # A session committed before its window and decision rule were
+        # recorded cannot show that they match, so it is not restored.
+        index_dir = tmp_path / "session"
+        IncrementalSxnm(dataset2_config(window=5),
+                        index_dir=str(index_dir)).add_batch(BATCH_1)
+        manifest_path = index_dir / "MANIFEST.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["session_params"]
+        manifest_path.write_text(json.dumps(manifest))
+
+        counter = CounterObserver()
+        reopened = IncrementalSxnm(dataset2_config(window=5),
+                                   index_dir=str(index_dir),
+                                   observers=[counter])
+        assert reopened.restored is False
+        assert any("different window or decision rule" in line
+                   for line in counter.warnings)
+        assert reopened.instance_count("disc") == 0
+
+    def test_detect_run_shares_the_directory(self, tmp_path):
+        # A config with indexDir hands one directory to detect runs and
+        # sessions alike.  A detect run keeps the session, its window
+        # and decision rule included, and a session keeps the run
+        # resumable.
+        index_dir = str(tmp_path / "shared")
+        text = serialize(generate_dataset2(disc_count=20, seed=5))
+        session = IncrementalSxnm(dataset2_config(window=5), window=3,
+                                  decision="combined", index_dir=index_dir)
+        session.add_batch(BATCH_1)
+        detected = SxnmDetector(dataset2_config(window=5),
+                                index_dir=index_dir).run(text)
+
+        counter = CounterObserver()
+        reopened = IncrementalSxnm(dataset2_config(window=5), window=3,
+                                   decision="combined", index_dir=index_dir,
+                                   observers=[counter])
+        assert reopened.restored is True
+        assert counter.warnings == []
+        assert session_view(reopened) == session_view(session)
+        reopened.add_batch(BATCH_2)
+
+        counter = CounterObserver()
+        resumed = SxnmDetector(dataset2_config(window=5),
+                               index_dir=index_dir,
+                               observers=[counter]).run(text, resume=True)
+        assert counter.counts.get("pair_compared", 0) == 0
+        assert {name: outcome.pairs
+                for name, outcome in resumed.outcomes.items()} \
+            == {name: outcome.pairs
+                for name, outcome in detected.outcomes.items()}
+
+        again = IncrementalSxnm(dataset2_config(window=5), window=3,
+                                decision="combined", index_dir=index_dir)
+        assert again.restored is True
+        assert session_view(again) == session_view(reopened)
 
     def test_damaged_session_segment_starts_fresh(self, tmp_path):
         import os

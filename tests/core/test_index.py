@@ -251,6 +251,38 @@ class TestSessionChain:
         # The base snapshot of the first commit is still referenced.
         assert status["orphan_segments"] == []
 
+    def test_begin_run_keeps_the_session_and_drop_session_forgets_it(
+            self, tmp_path):
+        config = dataset1_config()
+        index = open_index(tmp_path)
+        index.begin_run(config, "c" * 16, run_signature(5, None))
+        index.manifest["session_params"] = {"window": 3,
+                                            "decision": "gates"}
+        tables = make_tables()
+        states = {"movie": (tables["movie"], {(3, 9)}, 7),
+                  "person": (tables["person"], set(), 2)}
+        nothing = {"movie": ([], []), "person": ([], [])}
+        assert index.commit_session(120, 1, states)
+        assert index.commit_session(120, 2, states, nothing)
+        chain = index.manifest["session_deltas"]
+        assert len(chain) == 1
+
+        index.begin_run(config, "d" * 16, run_signature(7, None))
+        reopened = DetectionIndex(index.directory).open()
+        assert reopened.manifest["session_params"] == {"window": 3,
+                                                       "decision": "gates"}
+        assert reopened.manifest["session_deltas"] == chain
+        assert reopened.load_session()["batches"] == 2
+
+        reopened.drop_session()
+        assert "session" not in reopened.manifest["segments"]
+        assert reopened.manifest["session_deltas"] == []
+        assert reopened.load_session() is None
+        # With nothing to extend, the next commit is a full snapshot.
+        assert reopened.commit_session(120, 3, states, nothing)
+        assert reopened.manifest["session_deltas"] == []
+        assert reopened.load_session()["batches"] == 3
+
 
 class TestOperations:
     def test_initialize_stamps_fingerprint(self, tmp_path):
