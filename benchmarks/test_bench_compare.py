@@ -7,6 +7,12 @@ and the drop in full edit-distance evaluations — to
 ``BENCH_compare.json`` at the repository root, so perf regressions are
 diffable across commits.
 
+The filters must cut the full edit-distance evaluations by at least
+``REDUCTION_TARGET``.  Tiny smoke corpora (the CI step runs ~40 movies)
+have too few duplicate neighbors for that claim to mean anything, so it
+is asserted only at ``ASSERT_FLOOR_MOVIES`` or more (``drop_asserted``
+in the record says which happened); a strict drop is asserted always.
+
 ``SXNM_BENCH_COMPARE_MOVIES`` overrides the corpus size (the CI smoke
 step runs a tiny corpus; ``SXNM_BENCH_FULL=1`` runs the paper scale).
 """
@@ -28,6 +34,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_MOVIES = int(os.environ.get("SXNM_BENCH_COMPARE_MOVIES",
                                   "400" if FULL_SCALE else "200"))
 WINDOW = 10
+REDUCTION_TARGET = 0.3
+ASSERT_FLOOR_MOVIES = 100
 
 
 def total_stats(result) -> ComparisonStats:
@@ -66,6 +74,10 @@ def test_comparison_plane_perf_record(benchmark):
     assert filtered_stats.edit_full_evals < plain_stats.edit_full_evals
     drop = 1.0 - (filtered_stats.edit_full_evals
                   / max(plain_stats.edit_full_evals, 1))
+    drop_asserted = BENCH_MOVIES >= ASSERT_FLOOR_MOVIES
+    if drop_asserted:
+        assert drop >= REDUCTION_TARGET, (filtered_stats.edit_full_evals,
+                                          plain_stats.edit_full_evals)
 
     record = {
         "benchmark": "comparison_plane",
@@ -87,6 +99,8 @@ def test_comparison_plane_perf_record(benchmark):
                          filtered_stats.filter_short_circuit_rate, 4),
                      "stats": filtered_stats.as_dict()},
         "edit_full_evals_drop": round(drop, 4),
+        "drop_target": REDUCTION_TARGET,
+        "drop_asserted": drop_asserted,
     }
     record["memory"] = peak_memory_snapshot()
     (REPO_ROOT / "BENCH_compare.json").write_text(

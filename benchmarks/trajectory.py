@@ -13,6 +13,12 @@ number, the side, the parent commit, the seed, the workload,
 perfbench's four end-to-end metrics with their units,
 ``correct``/``attempted``/``failed``, and the host facts from
 perfbench's context line.
+
+Each run gets ``PYTHONPYCACHEPREFIX`` set to a fresh empty temporary
+directory and ``PYTHONDONTWRITEBYTECODE=1``; perfbench's child
+processes inherit both.  No run then reads a bytecode cache that an
+earlier run in the checkout left in ``src/``, which would cut
+``setup_s`` roughly in half and move peak RSS.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -34,11 +41,15 @@ END_TO_END = ("latency_p50_ms", "latency_p90_ms", "setup_s", "peak_rss_mb")
 
 def measure(checkout: str, workload: str) -> dict:
     """perfbench's context and result objects for one ``--trace 0`` run."""
-    completed = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--probe-ref", "0.0001",
-         "--workload", workload, "--seed", str(SEED), "--seconds", "10",
-         "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+    with tempfile.TemporaryDirectory() as pycache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": pycache,
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        completed = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--probe-ref", "0.0001",
+             "--workload", workload, "--seed", str(SEED), "--seconds", "10",
+             "--trace", "0"],
+            cwd=checkout, env=env, capture_output=True, text=True,
+            check=True)
     lines = completed.stdout.strip().splitlines()
     return {**json.loads(lines[-2]), **json.loads(lines[-1])}
 

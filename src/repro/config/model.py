@@ -322,9 +322,6 @@ class SxnmConfig:
     serial.  ``phi_cache_dir`` names a directory where exact φ scores
     persist *across* runs (``None`` keeps the memo in-memory only) and
     ``phi_cache_persist`` gates it without forgetting the path.
-    ``batch_compare`` classifies each window block of pairs in one
-    batched call over the comparison plane (per-string artifacts,
-    column-wise prefilters, shared DP rows) instead of pair by pair.
     ``worker_pool_persist`` keeps worker pools warm across runs in the
     same process; ``shared_memory_min_bytes`` is the payload size below
     which candidates ship inline rather than via a shared segment.
@@ -358,7 +355,6 @@ class SxnmConfig:
     phi_cache_persist: bool = True
     workers: int = DEFAULT_WORKERS
     parallel_min_rows: int = DEFAULT_PARALLEL_MIN_ROWS
-    batch_compare: bool = False
     worker_pool_persist: bool = DEFAULT_WORKER_POOL_PERSIST
     shared_memory_min_bytes: int = DEFAULT_SHARED_MEMORY_MIN_BYTES
     index_dir: str | None = None

@@ -186,8 +186,6 @@ def config_from_document(document: XmlDocument) -> SxnmConfig:
     parallel_min_rows = _get_int(root, "parallelMinRows")
     if parallel_min_rows is not None:
         config.parallel_min_rows = parallel_min_rows
-    config.batch_compare = _get_bool(root, "batchCompare",
-                                     config.batch_compare)
     config.worker_pool_persist = _get_bool(root, "workerPoolPersist",
                                            config.worker_pool_persist)
     shared_memory_min_bytes = _get_int(root, "sharedMemoryMinBytes")
@@ -227,8 +225,17 @@ def config_from_document(document: XmlDocument) -> SxnmConfig:
             config.neighborhood_strategies.append(StrategySpec(name, params))
     for node in root.find_all("candidate"):
         config.add(_read_candidate(node))
-    return ensure_valid(config, _retired_plane_problems(
-        root.get("executionPlane"), config.workers))
+    retired = _retired_plane_problems(root.get("executionPlane"),
+                                      config.workers)
+    if _get_bool(root, "batchCompare", False):
+        # Earlier writers always wrote batchCompare="false", so that
+        # value still loads.
+        retired.append(
+            f"batchCompare=\"{root.get('batchCompare')}\" is not supported "
+            f"(the batched comparison path was removed; every pair is "
+            f"classified one at a time, with identical results); remove "
+            f"the attribute")
+    return ensure_valid(config, retired)
 
 
 def load_config(source: str) -> SxnmConfig:
@@ -290,7 +297,6 @@ def config_to_document(config: SxnmConfig) -> XmlDocument:
         "phiCacheSize": str(config.phi_cache_size),
         "workers": str(config.workers),
         "parallelMinRows": str(config.parallel_min_rows),
-        "batchCompare": "true" if config.batch_compare else "false",
         "sharedMemoryMinBytes": str(config.shared_memory_min_bytes),
     })
     if config.phi_cache_dir is not None:

@@ -295,11 +295,10 @@ class WindowMember:
     def generate(self, ctx: CandidateContext) -> GeneratedPairs:
         generated = GeneratedPairs()
 
-        def propose(block):
-            generated.pairs.update((min(left.eid, right.eid),
-                                    max(left.eid, right.eid))
-                                   for left, right in block)
-            return [_PROPOSED] * len(block)
+        def propose(left, right):
+            generated.pairs.add((min(left.eid, right.eid),
+                                 max(left.eid, right.eid)))
+            return _PROPOSED
 
         for key_index in ctx.key_indices:
             ordered = ctx.table.sorted_by_key(key_index)

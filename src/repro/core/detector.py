@@ -15,6 +15,8 @@ re-exported here for backward compatibility.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..config import StrategySpec, SxnmConfig, strategy_from_string
 from ..decision.calibrate import ThreeWayCalibration
 from ..decision.policy import ThreeWayPolicy
@@ -35,6 +37,16 @@ from .stages import (DomKeySource, FixedWindowStrategy, MethodClosure,
 from .theory import XmlEquationalTheory
 
 
+def _setting_text(value) -> str | None:
+    """Canonical text of a calibration or theory setting (or a mapping
+    of candidate names to them) for the run parameters."""
+    if value is None:
+        return None
+    if isinstance(value, dict):
+        return repr(sorted(value.items()))
+    return repr(value)
+
+
 def _select_key_indices(table: GkTable, selection: KeySelection) -> list[int]:
     """Backward-compatible alias of :func:`repro.core.results.select_key_indices`."""
     return select_key_indices(table, selection)
@@ -47,6 +59,9 @@ class SxnmDetector:
     ----------
     config:
         A valid :class:`~repro.config.SxnmConfig` (validated eagerly).
+        The detector works on its own shallow copy: the keyword
+        overrides below land on ``detector.config``, never on the
+        caller's object.
     decision:
         ``"gates"`` (independent OD/descendants thresholds, default) or
         ``"combined"`` (single threshold over the averaged similarity).
@@ -114,23 +129,17 @@ class SxnmDetector:
         are bit-identical with or without it.  ``None`` (default) defers
         to ``config.phi_cache_dir``; damaged or unwritable directories
         warn via observers and run cold.
-    batch_compare:
-        Classify each window block of candidate pairs in one batched
-        call over the comparison plane (``repro.similarity.batch``):
-        per-string artifacts are computed once per distinct string,
-        the length/bag prefilters run column-wise over the block, and
-        surviving pairs share Levenshtein DP rows.  Pairs, clusters,
-        and every non-batch stats counter are bit-identical to the
-        pair-at-a-time path.  ``None`` (default) defers to
-        ``config.batch_compare``.
     index_dir:
         Directory for the persistent detection index
         (``repro.core.index``): every completed candidate's state is
         committed as the run progresses, and ``run(resume=True)``
         continues an interrupted run from it with bit-identical
-        results.  ``None`` (default) defers to ``config.index_dir``;
-        damaged or unwritable directories warn via observers and run
-        without persistence.
+        results.  The index records ``decision``,
+        ``duplicate_elimination``, ``consistency``, ``calibration`` and
+        ``theories`` with the run parameters, so a resume under a
+        different value is refused.  ``None`` (default) defers to
+        ``config.index_dir``; damaged or unwritable directories warn
+        via observers and run without persistence.
     stream:
         Run the out-of-core path (``repro.core.spill``): key generation
         consumes the event stream directly (XML text, a parsed
@@ -174,7 +183,6 @@ class SxnmDetector:
                  duplicate_elimination: bool = False,
                  workers: int | None = None,
                  phi_cache_dir: str | None = None,
-                 batch_compare: bool | None = None,
                  index_dir: str | None = None,
                  stream: bool | None = None,
                  spill_dir: str | None = None,
@@ -193,13 +201,21 @@ class SxnmDetector:
         if decision not in ("gates", "combined"):
             raise DetectionError(f"unknown decision rule {decision!r}")
         self.decision: Decision = decision
-        if decision_mode is not None:
-            config.decision_mode = decision_mode
-        self.decision_mode = getattr(config, "decision_mode", "threshold")
-        if decision_fpr is not None:
-            config.decision_fpr = decision_fpr
-        if decision_coverage is not None:
-            config.decision_coverage = decision_coverage
+        overrides = {"decision_mode": decision_mode,
+                     "decision_fpr": decision_fpr,
+                     "decision_coverage": decision_coverage,
+                     "phi_cache_dir": phi_cache_dir, "index_dir": index_dir,
+                     "stream_parse": stream, "spill_dir": spill_dir,
+                     "spill_max_rows": spill_max_rows}
+        if strategies is not None:
+            overrides["neighborhood_strategies"] = [
+                strategy if isinstance(strategy, StrategySpec)
+                else strategy_from_string(strategy)
+                for strategy in strategies]
+        config = replace(config, **{name: value
+                                    for name, value in overrides.items()
+                                    if value is not None})
+        self.decision_mode = config.decision_mode
         self.calibration = calibration
         self.review_queue = review_queue
         self.consistency = consistency
@@ -211,29 +227,10 @@ class SxnmDetector:
         self.duplicate_elimination = duplicate_elimination
         self.workers = (workers if workers is not None
                         else getattr(config, "workers", 1))
-        if phi_cache_dir is not None:
-            config.phi_cache_dir = phi_cache_dir
-        self.phi_cache_dir = getattr(config, "phi_cache_dir", None)
-        if batch_compare is not None:
-            config.batch_compare = batch_compare
-        self.batch_compare = getattr(config, "batch_compare", False)
-        if index_dir is not None:
-            config.index_dir = index_dir
-        self.index_dir = getattr(config, "index_dir", None)
-        if stream is not None:
-            config.stream_parse = stream
-        self.stream = getattr(config, "stream_parse", False)
-        if spill_dir is not None:
-            config.spill_dir = spill_dir
-        if spill_max_rows is not None:
-            config.spill_max_rows = spill_max_rows
-        if strategies is not None:
-            config.neighborhood_strategies = [
-                strategy if isinstance(strategy, StrategySpec)
-                else strategy_from_string(strategy)
-                for strategy in strategies]
-        self.strategies = list(
-            getattr(config, "neighborhood_strategies", ()) or ())
+        self.phi_cache_dir = config.phi_cache_dir
+        self.index_dir = config.index_dir
+        self.stream = config.stream_parse
+        self.strategies = list(config.neighborhood_strategies)
 
         if self.strategies:
             neighborhood = build_union_strategy(
@@ -270,7 +267,13 @@ class SxnmDetector:
                       else policy),
             closure=MethodClosure(closure_method),
             observers=observers,
-            workers=self.workers)
+            workers=self.workers,
+            run_settings={
+                "decision": decision,
+                "duplicate_elimination": duplicate_elimination,
+                "consistency": consistency,
+                "calibration": _setting_text(calibration),
+                "theories": _setting_text(self.theories or None)})
         self.config = self.engine.config
         self.hierarchy = self.engine.hierarchy
 

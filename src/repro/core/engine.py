@@ -46,7 +46,6 @@ from .stages import (CandidateContext, ClosureStrategy, Compare,
                      DecisionPolicy, DomKeySource, FixedWindowStrategy,
                      KeySource, NeighborhoodStrategy, ThresholdPolicy,
                      UnionFindClosure, TOP_DOWN)
-from .window import CompareBlock, block_classifier, pairwise
 
 
 class _Universe:
@@ -85,6 +84,11 @@ class DetectionEngine:
         :class:`~repro.core.index.DetectionIndex`.  Wrappers that own
         the index themselves (:class:`~repro.core.IncrementalSxnm`)
         pass ``False`` so state is committed exactly once.
+    run_settings:
+        The wrapper's result-affecting options that live outside the
+        config (decision rule, DE passes, calibration, theories), as
+        JSON values.  The index records them with the run parameters,
+        so a resume under different settings is refused.
     """
 
     def __init__(self, config: SxnmConfig, *,
@@ -94,10 +98,12 @@ class DetectionEngine:
                  closure: ClosureStrategy | None = None,
                  observers: list[EngineObserver] | tuple = (),
                  workers: int | None = None,
-                 use_index: bool = True):
+                 use_index: bool = True,
+                 run_settings: dict | None = None):
         self.config = ensure_valid(config)
         self.workers = workers
         self.use_index = use_index
+        self.run_settings = dict(run_settings or {})
         self.hierarchy = CandidateHierarchy(config)
         self.key_source = key_source if key_source is not None \
             else DomKeySource()
@@ -172,7 +178,8 @@ class DetectionEngine:
         resuming = False
         if index is not None:
             corpus = corpus_checksum(source)
-            params = run_signature(window, key_selection)
+            params = {**run_signature(window, key_selection),
+                      **self.run_settings}
             if resume:
                 if not index.usable:
                     raise DetectionError(
@@ -289,12 +296,8 @@ class DetectionEngine:
                         emit.decision_calibrated(spec.name, calibration)
                 filtered_before = decider.filtered_comparisons
                 compare: Compare = decider.compare
-                classify = block_classifier(
-                    decider, getattr(self.config, "batch_compare", False))
                 if emit is not None:
-                    classify = self._instrumented(spec.name, classify, emit)
-                    compare = self._one_pair(self._instrumented(
-                        spec.name, pairwise(compare), emit))
+                    compare = self._instrumented(spec.name, compare, emit)
 
                 key_indices = select_key_indices(
                     table, key_selection,
@@ -307,7 +310,7 @@ class DetectionEngine:
                     tables=tables, window=effective_window,
                     key_indices=key_indices, compare=compare, pairs=pairs,
                     cluster_sets=cluster_sets, emit=emit, decider=decider,
-                    classify=classify, plane=plane,
+                    plane=plane,
                     interned_rows=(index.interned_rows(spec.name)
                                    if tables_from_index else None))
 
@@ -443,26 +446,13 @@ class DetectionEngine:
         return index
 
     @staticmethod
-    def _instrumented(candidate: str, classify: CompareBlock,
-                      emit: ObserverGroup) -> CompareBlock:
-        """Wrap a block classifier to stream pair events to observers.
-
-        Verdicts come back in block order, which is the order a
-        pair-at-a-time loop compares in — observers see one event
-        stream whichever classifier runs.
-        """
-        def observed(block):
-            verdicts = classify(block)
-            for (left, right), verdict in zip(block, verdicts):
-                emit.pair_compared(candidate, left.eid, right.eid, verdict)
-                if verdict.is_duplicate:
-                    emit.pair_confirmed(candidate, left.eid, right.eid)
-            return verdicts
+    def _instrumented(candidate: str, compare: Compare,
+                      emit: ObserverGroup) -> Compare:
+        """Wrap a pair classifier to stream pair events to observers."""
+        def observed(left, right):
+            verdict = compare(left, right)
+            emit.pair_compared(candidate, left.eid, right.eid, verdict)
+            if verdict.is_duplicate:
+                emit.pair_confirmed(candidate, left.eid, right.eid)
+            return verdict
         return observed
-
-    @staticmethod
-    def _one_pair(classify: CompareBlock) -> Compare:
-        """The per-pair view of a block classifier."""
-        def compare(left, right):
-            return classify([(left, right)])[0]
-        return compare

@@ -10,15 +10,14 @@ through the kernels of :mod:`repro.core.window`:
   :class:`~concurrent.futures.ProcessPoolExecutor` fed through
   :mod:`multiprocessing.shared_memory`.  The plane publishes one
   segment per candidate — the document-order GK rows with an interned
-  string pool, the per-key sorted index tables, the pre-pickled pair
-  classifier, and (under ``batchCompare``) the per-string
-  :class:`~repro.similarity.batch.PairBatch` artifacts — and ships
-  shards as *index ranges into the shared table* instead of pickled row
-  slices.  Workers attach each segment once, memoize the unpickled
-  classifier (φ memo and OD caches stay warm across shards), and reach
-  the read-only :class:`~repro.similarity.store.PersistentPhiCache`
-  through the per-process shared store, refreshed against the parent's
-  segment index (see ``PhiCache.__reduce__``).
+  string pool, the per-key sorted index tables and the pre-pickled pair
+  classifier — and ships shards as *index ranges into the shared table*
+  instead of pickled row slices.  Workers attach each segment once,
+  memoize the unpickled classifier (φ memo and OD caches stay warm
+  across shards), and reach the read-only
+  :class:`~repro.similarity.store.PersistentPhiCache` through the
+  per-process shared store, refreshed against the parent's segment
+  index (see ``PhiCache.__reduce__``).
 
 ``workers`` alone selects the backend (:func:`make_plane`): one worker
 runs serially, two or more on the shared-memory plane.
@@ -52,12 +51,10 @@ from itertools import islice
 from ..config.model import (DEFAULT_PARALLEL_MIN_ROWS,
                             DEFAULT_SHARED_MEMORY_MIN_BYTES)
 from ..similarity import ComparisonStats
-from ..similarity.batch import string_artifacts
 from .gk import GkRow, GkTable
 from .simmeasure import PairVerdict
 from .stages import BOTTOM_UP, CandidateContext, NeighborhoodOutcome
-from .window import (CompareBlock, block_classifier, de_slide, key_pass,
-                     pairwise, slide, window_start)
+from .window import Compare, de_slide, key_pass, slide, window_start
 
 #: Never split a pass into segments averaging fewer rows than this; a
 #: tiny segment's IPC costs more than its comparisons.
@@ -65,11 +62,6 @@ MIN_SEGMENT_ROWS = 32
 
 #: Worker-side cap on concurrently attached shared-memory segments.
 SEGMENT_MEMO_LIMIT = 4
-
-#: Pairs per classifier call when a plane evaluates an explicit pair
-#: list — bounds the per-call row materialization without starving the
-#: batch layer's column-wise prefilters.
-PAIR_BLOCK_ROWS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +85,12 @@ class PassTask:
     anchor bounds; the worker attaches the segment, reuses its memoized
     classifier, and derives the key order from the published sort
     index — the rows themselves never travel per shard.
-
-    ``batch`` asks the worker to classify through the classifier's
-    ``compare_block`` when it has one; results are bit-identical either
-    way, only the batch counters differ.
     """
 
     candidate: str
     key_index: int
     window: int
     comparer_pickle: bytes
-    batch: bool = False
     duplicate_elimination: bool = False
     rows: list[GkRow] | None = None
     segment: str | None = None
@@ -127,6 +114,11 @@ class PassResult:
     filtered: int
     stats: ComparisonStats | None
     phi_entries: dict[tuple, float] | None = None
+
+
+def _compare_of(comparer) -> Compare:
+    """A shipped classifier's ``compare``; a bare callable is its own."""
+    return getattr(comparer, "compare", comparer)
 
 
 def _counters(comparer) -> tuple[int, dict | None]:
@@ -173,32 +165,30 @@ def run_pass_task(task: PassTask) -> PassResult:
         comparer = pickle.loads(task.comparer_pickle)
         ordered = task.rows
     before = _counters(comparer)
-    classify = block_classifier(comparer, task.batch)
+    compare = _compare_of(comparer)
     pairs: set[tuple[int, int]] = set()
     if task.duplicate_elimination:
         comparisons = de_slide(lambda: ordered, task.key_index, task.window,
-                               classify, pairs)
+                               compare, pairs)
     else:
         first = window_start(task.lo, task.window)
         comparisons = slide(islice(ordered, first, task.hi), task.window,
-                            classify, pairs, start=task.lo - first)
+                            compare, pairs, start=task.lo - first)
     return _shard_outcome(task, comparer, pairs, comparisons, before)
 
 
-def compare_pairs(pair_list: list[tuple[int, int]], row, classify: CompareBlock,
+def compare_pairs(pair_list: list[tuple[int, int]], row, compare: Compare,
                   pairs: set[tuple[int, int]]) -> int:
-    """Classify an explicit pair list in ``PAIR_BLOCK_ROWS`` blocks.
+    """Classify an explicit pair list.
 
     ``row`` maps a pair member to its GK row; each pair is compared
     once, in list order, and confirmed ``(left eid, right eid)`` pairs
     land in ``pairs``.  Returns the comparison count.
     """
-    for low in range(0, len(pair_list), PAIR_BLOCK_ROWS):
-        block = [(row(left), row(right))
-                 for left, right in pair_list[low:low + PAIR_BLOCK_ROWS]]
-        for (left, right), verdict in zip(block, classify(block)):
-            if verdict.is_duplicate:
-                pairs.add((left.eid, right.eid))
+    for left, right in pair_list:
+        left_row, right_row = row(left), row(right)
+        if compare(left_row, right_row).is_duplicate:
+            pairs.add((left_row.eid, right_row.eid))
     return len(pair_list)
 
 
@@ -218,7 +208,6 @@ class PairBlockTask:
     rows: list[GkRow]
     pairs: list[tuple[int, int]]
     comparer_pickle: bytes
-    batch: bool = False
     key_index: int = -1
 
 
@@ -228,7 +217,7 @@ def run_pair_block_task(task: PairBlockTask) -> PassResult:
     before = _counters(comparer)
     pairs: set[tuple[int, int]] = set()
     comparisons = compare_pairs(task.pairs, task.rows.__getitem__,
-                                block_classifier(comparer, task.batch), pairs)
+                                _compare_of(comparer), pairs)
     return _shard_outcome(task, comparer, pairs, comparisons, before)
 
 
@@ -271,7 +260,6 @@ def build_pass_tasks(table: GkTable, window: int, key_indices: list[int],
                      duplicate_elimination: bool, workers: int,
                      comparer_pickle: bytes,
                      segments_per_pass: int | None = None,
-                     batch: bool = False,
                      segment: str | None = None) -> list[PassTask]:
     """All shards for one candidate, grouped by key in pass order.
 
@@ -287,7 +275,7 @@ def build_pass_tasks(table: GkTable, window: int, key_indices: list[int],
     for key_index in key_indices:
         ordered = table.sorted_by_key(key_index) if segment is None else None
         shipped = dict(candidate=table.candidate_name, key_index=key_index,
-                       window=window, batch=batch, segment=segment,
+                       window=window, segment=segment,
                        comparer_pickle=comparer_pickle if segment is None
                        else b"")
         if duplicate_elimination:
@@ -431,15 +419,12 @@ def _intern_rows(table: GkTable) -> list[GkRow]:
 
 def build_segment_payload(table: GkTable, key_indices: list[int],
                           comparer_pickle: bytes,
-                          batch: bool = False,
                           interned_rows: list[GkRow] | None = None) -> dict:
-    """The per-candidate artifact bundle one shared segment publishes.
+    """The per-candidate bundle one shared segment publishes.
 
     Contains the interned document-order rows, the per-key sort index
     (row *positions*, so shards can address anchors without shipping
-    rows), the pre-pickled classifier, and — under ``batch`` — the
-    per-string :func:`~repro.similarity.batch.string_artifacts` of every
-    distinct OD value, computed once here instead of once per worker.
+    rows) and the pre-pickled classifier.
 
     ``interned_rows`` short-circuits the interning copy: a
     :class:`~repro.core.index.DetectionIndex` decodes GK rows through a
@@ -452,18 +437,11 @@ def build_segment_payload(table: GkTable, key_indices: list[int],
         orders[key_index] = sorted(
             range(len(rows)),
             key=lambda i: (rows[i].keys[key_index], rows[i].eid))
-    artifacts: dict[str, tuple[int, dict[str, int]]] = {}
-    if batch:
-        for row in rows:
-            for value in row.ods:
-                if value is not None and value not in artifacts:
-                    artifacts[value] = string_artifacts(value)
     return {
         "candidate": table.candidate_name,
         "rows": rows,
         "orders": orders,
         "comparer": comparer_pickle,
-        "artifacts": artifacts,
     }
 
 
@@ -542,18 +520,11 @@ def _segment_comparer(state: dict):
     Keeping one classifier per segment keeps its φ memo cache and OD
     cache warm across every shard of the candidate; per-shard counter
     deltas stay exact because :func:`run_pass_task` snapshots them
-    around each kernel run.  Published per-string artifacts are seeded
-    into the classifier's batch layer on first use.
+    around each kernel run.
     """
     comparer = state["comparer"]
     if comparer is None:
-        payload = state["payload"]
-        comparer = pickle.loads(payload["comparer"])
-        artifacts = payload.get("artifacts")
-        if artifacts:
-            seed = getattr(comparer, "seed_batch_artifacts", None)
-            if seed is not None:
-                seed(artifacts)
+        comparer = pickle.loads(state["payload"]["comparer"])
         state["comparer"] = comparer
     return comparer
 
@@ -578,17 +549,11 @@ _MATCHED = PairVerdict(1.0, None, 1.0, True)
 _UNMATCHED = PairVerdict(0.0, None, 0.0, False)
 
 
-def match_classifier(matcher, batch: bool = False) -> CompareBlock:
-    """A relational matcher as a block classifier.
-
-    ``batch`` routes each block through the matcher's ``match_block``
-    (one call, decisions in block order) instead of pair by pair.
-    """
-    match = matcher.match_block if batch else pairwise(matcher)
-
-    def classify(block):
-        return [_MATCHED if matched else _UNMATCHED for matched in match(block)]
-    return classify
+def match_classifier(matcher) -> Compare:
+    """A relational matcher as a pair classifier (booleans as verdicts)."""
+    def compare(left, right):
+        return _MATCHED if matcher(left, right) else _UNMATCHED
+    return compare
 
 
 @dataclass
@@ -605,15 +570,13 @@ class RelationalShard:
     start: int
     window: int
     matcher_pickle: bytes
-    batch: bool = False
 
 
 def run_relational_shard(shard: RelationalShard) -> tuple[set, int]:
     """Execute one relational shard; returns ``(pairs, comparisons)``."""
     pairs: set[tuple[int, int]] = set()
-    classify = match_classifier(pickle.loads(shard.matcher_pickle),
-                                shard.batch)
-    comparisons = slide(shard.records, shard.window, classify, pairs,
+    compare = match_classifier(pickle.loads(shard.matcher_pickle))
+    comparisons = slide(shard.records, shard.window, compare, pairs,
                         start=shard.start, skip_known=False)
     return pairs, comparisons
 
@@ -662,17 +625,17 @@ class ExecutionPlane:
             ctx.pass_started(key_index)
             ordered = ctx.table.sorted_by_key(key_index)
             comparisons = key_pass(lambda: ordered, key_index, ctx.window,
-                                   ctx.classify, ctx.pairs,
+                                   ctx.compare, ctx.pairs,
                                    duplicate_elimination)
             ctx.pass_finished(key_index, comparisons)
             total += comparisons
         return NeighborhoodOutcome(total)
 
     def relational_pass(self, records: list, window: int, matcher,
-                        batch: bool, pairs: set[tuple[int, int]]) -> int:
+                        pairs: set[tuple[int, int]]) -> int:
         """One classical-SNM window pass over key-sorted records."""
-        return slide(records, window, match_classifier(matcher, batch),
-                     pairs, skip_known=False)
+        return slide(records, window, match_classifier(matcher), pairs,
+                     skip_known=False)
 
     def pairs_pass(self, ctx, pair_list: list[tuple[int, int]],
                    ) -> NeighborhoodOutcome:
@@ -684,7 +647,7 @@ class ExecutionPlane:
         ``ctx.pairs`` — what :mod:`repro.core.blocking` generates.
         """
         return NeighborhoodOutcome(compare_pairs(
-            pair_list, ctx.table.row, ctx.classify, ctx.pairs))
+            pair_list, ctx.table.row, ctx.compare, ctx.pairs))
 
 
 class SerialPlane(ExecutionPlane):
@@ -810,9 +773,9 @@ class SharedMemoryPlane(ExecutionPlane):
     # -- the multipass ladder -------------------------------------------
 
     def _shards(self, ctx, comparer_pickle: bytes,
-                duplicate_elimination: bool, batch: bool) -> list[PassTask]:
+                duplicate_elimination: bool) -> list[PassTask]:
         payload = build_segment_payload(
-            ctx.table, ctx.key_indices, comparer_pickle, batch=batch,
+            ctx.table, ctx.key_indices, comparer_pickle,
             interned_rows=getattr(ctx, "interned_rows", None))
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         segment = None
@@ -827,7 +790,7 @@ class SharedMemoryPlane(ExecutionPlane):
         return build_pass_tasks(
             ctx.table, ctx.window, ctx.key_indices, duplicate_elimination,
             self.workers, comparer_pickle,
-            segments_per_pass=self.segments_per_pass, batch=batch,
+            segments_per_pass=self.segments_per_pass,
             segment=segment.name if segment is not None else None)
 
     def multipass(self, ctx, duplicate_elimination: bool = False,
@@ -839,8 +802,7 @@ class SharedMemoryPlane(ExecutionPlane):
         if comparer_pickle is None:
             return self._serial.multipass(ctx, duplicate_elimination)
         try:
-            tasks = self._shards(ctx, comparer_pickle, duplicate_elimination,
-                                 getattr(ctx.config, "batch_compare", False))
+            tasks = self._shards(ctx, comparer_pickle, duplicate_elimination)
             pool = self._pool()
             futures = []
             for key_index in ctx.key_indices:
@@ -865,16 +827,14 @@ class SharedMemoryPlane(ExecutionPlane):
 
     # -- the relational ladder ------------------------------------------
 
-    def relational_pass(self, records, window, matcher, batch, pairs):
+    def relational_pass(self, records, window, matcher, pairs):
         if self.workers <= 1 or len(records) < self._resolved_min_rows(None):
-            return super().relational_pass(records, window, matcher, batch,
-                                           pairs)
+            return super().relational_pass(records, window, matcher, pairs)
         try:
             matcher_pickle = pickle.dumps(matcher,
                                           protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
-            return super().relational_pass(records, window, matcher, batch,
-                                           pairs)
+            return super().relational_pass(records, window, matcher, pairs)
         segments = plan_segments(len(records), 1, self.workers,
                                  self.segments_per_pass)
         shards = []
@@ -882,14 +842,13 @@ class SharedMemoryPlane(ExecutionPlane):
             first = window_start(low, window)
             shards.append(RelationalShard(
                 records=records[first:high], start=low - first,
-                window=window, matcher_pickle=matcher_pickle, batch=batch))
+                window=window, matcher_pickle=matcher_pickle))
         pool = self._pool()
         results = self._gather([pool.submit(run_relational_shard, shard)
                                 for shard in shards], None,
                                "parallel relational pass")
         if results is None:
-            return super().relational_pass(records, window, matcher, batch,
-                                           pairs)
+            return super().relational_pass(records, window, matcher, pairs)
         comparisons = 0
         for shard_pairs, shard_comparisons in results:
             pairs |= shard_pairs
@@ -908,7 +867,6 @@ class SharedMemoryPlane(ExecutionPlane):
         segments = plan_segments(len(pair_list), 1, self.workers,
                                  self.segments_per_pass)
         row = ctx.table.row
-        batch = getattr(ctx.config, "batch_compare", False)
         tasks = []
         for low, high in segment_bounds(len(pair_list), segments):
             positions: dict[int, int] = {}
@@ -922,7 +880,7 @@ class SharedMemoryPlane(ExecutionPlane):
                 indices.append((positions[left], positions[right]))
             tasks.append(PairBlockTask(
                 candidate=ctx.spec.name, rows=rows, pairs=indices,
-                comparer_pickle=comparer_pickle, batch=batch))
+                comparer_pickle=comparer_pickle))
         pool = self._pool()
         results = self._gather([pool.submit(run_pair_block_task, task)
                                 for task in tasks], ctx.warning,

@@ -32,7 +32,7 @@ descendant clusters that would now push the pair over the threshold.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..config import SxnmConfig
 from ..errors import DetectionError
@@ -46,7 +46,7 @@ from .results import SxnmResult  # noqa: F401  (re-exported concept)
 from .simmeasure import Decision
 from .stages import (BOTTOM_UP, CandidateContext, LiveClosure,
                      NeighborhoodOutcome, ThresholdPolicy)
-from .window import CompareBlock, slide, window_start
+from .window import Compare, slide, window_start
 
 
 @dataclass
@@ -114,22 +114,19 @@ class AccumulatingKeySource:
         return {name: state.table for name, state in self.states.items()}
 
 
-def _recording(compare, confirmed: list[tuple[int, int]]) -> CompareBlock:
-    """:func:`~repro.core.window.pairwise` over ``compare``, appending
-    each confirmed pair to ``confirmed``.
+def _recording(compare: Compare,
+               confirmed: list[tuple[int, int]]) -> Compare:
+    """``compare``, appending each confirmed pair to ``confirmed``.
 
-    Incremental blocks hold only unknown pairs, lower eid first, so the
-    duplicates are exactly the pairs the kernel adds, in its order.
+    Incremental passes compare only unknown pairs, lower eid first, so
+    the duplicates are exactly the pairs the kernel adds, in its order.
     """
-    def classify(block):
-        verdicts = []
-        for left, right in block:
-            verdict = compare(left, right)
-            if verdict.is_duplicate:
-                confirmed.append((left.eid, right.eid))
-            verdicts.append(verdict)
-        return verdicts
-    return classify
+    def recorded(left, right):
+        verdict = compare(left, right)
+        if verdict.is_duplicate:
+            confirmed.append((left.eid, right.eid))
+        return verdict
+    return recorded
 
 
 def _visited_ranges(positions: list[int], window: int,
@@ -166,7 +163,7 @@ class IncrementalNeighborhood:
     def find_pairs(self, ctx: CandidateContext) -> NeighborhoodOutcome:
         state = self.states[ctx.spec.name]
         new_eids = {row.eid for row in state.new_rows}
-        classify = _recording(ctx.compare, state.new_pairs)
+        compare = _recording(ctx.compare, state.new_pairs)
         row = state.table.row
         batch_comparisons = 0
         for key_index, order in enumerate(state.sorted_keys):
@@ -183,7 +180,7 @@ class IncrementalNeighborhood:
                 first = window_start(low, ctx.window)
                 pass_comparisons += slide(
                     [row(eid) for _, eid in order[first:high]], ctx.window,
-                    classify, state.pairs, start=low - first,
+                    compare, state.pairs, start=low - first,
                     fresh=new_eids)
             ctx.pass_finished(key_index, pass_comparisons)
             batch_comparisons += pass_comparisons
@@ -237,7 +234,7 @@ class IncrementalSxnm:
         self.window = window
         self.decision: Decision = decision
         if index_dir is not None:
-            config.index_dir = index_dir
+            config = replace(config, index_dir=index_dir)
         self._key_source = AccumulatingKeySource(config)
         self._closure = BatchClosure(self._key_source.states)
         # use_index=False: the session owns the index (one session
@@ -479,11 +476,11 @@ class IncrementalSxnm:
         decider = self.engine.decision.decider(spec, self.config,
                                                cluster_sets, None)
         confirmed: list[tuple[int, int]] = []
-        classify = _recording(decider.compare, confirmed)
+        compare = _recording(decider.compare, confirmed)
         for order in state.sorted_keys:
             state.comparisons += slide(
                 (state.table.row(eid) for _, eid in order), window,
-                classify, state.pairs, fresh=perturbed)
+                compare, state.pairs, fresh=perturbed)
         labels = self._closure.labels(spec.name)
         for left, right in confirmed:
             labels.union(left, right)

@@ -10,7 +10,8 @@ directory holding
 * ``MANIFEST.json`` — the run manifest: format magic and version, the
   *config fingerprint* (a digest of every result-affecting parameter),
   the *corpus checksum* of the detected document, the run parameters
-  (window override, key selection), per-phase counters, the set of
+  (window override, key selection, and the detector's result-affecting
+  settings outside the config), per-phase counters, the set of
   candidates whose detection state is committed, the role → segment
   mapping, and the incremental session's delta chain.  Rewritten
   atomically (tempfile + ``os.replace``) after every commit, so a
@@ -81,10 +82,14 @@ def config_fingerprint(config) -> str:
 
     Covers the candidate relations (PATH/OD/KEY), per-candidate and
     global detection parameters (window, thresholds, descendant usage
-    and weights, φ names) — everything that can change detected pairs.
-    Performance knobs (workers, execution plane, caches, batching) are
-    deliberately excluded: they change work, never results, so flipping
-    them must not retire a resumable run.
+    and weights, φ names), the neighborhood strategies with their
+    params, and the decision mode — every config field that can change
+    detected pairs.  Options outside the config (a detector's decision
+    rule, DE passes, calibration, theories) are run parameters; see
+    :meth:`DetectionIndex.resume_mismatch`.  Performance knobs
+    (workers, caches, filters, spilling) are deliberately excluded:
+    they change work, never results, so flipping them must not retire
+    a resumable run.
     """
     candidates = []
     for spec in sorted(config.candidates, key=lambda spec: spec.name):
@@ -113,6 +118,11 @@ def config_fingerprint(config) -> str:
         "od_threshold": repr(config.od_threshold),
         "desc_threshold": repr(config.desc_threshold),
         "duplicate_threshold": repr(config.duplicate_threshold),
+        "neighborhood_strategies": [
+            [strategy.name, sorted((key, str(value)) for key, value
+                                   in strategy.params.items())]
+            for strategy in config.neighborhood_strategies],
+        "decision_mode": config.decision_mode,
     }
     blob = json.dumps(shape, sort_keys=True, ensure_ascii=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -402,7 +412,8 @@ class DetectionIndex:
         """Why this index cannot resume the described run (empty = can).
 
         Checks the config fingerprint, the corpus checksum, and the run
-        parameters recorded in the manifest; an index that never
+        parameters (window override, key selection, the detector's
+        settings) recorded in the manifest; an index that never
         committed anything cannot resume either.
         """
         problems = []
@@ -419,11 +430,15 @@ class DetectionIndex:
             problems.append(
                 f"corpus checksum mismatch (index "
                 f"{self.manifest.get('corpus_checksum')}, run {corpus})")
-        if params is not None \
-                and self.manifest.get("run_params") != params:
-            problems.append(
-                f"run parameter mismatch (index "
-                f"{self.manifest.get('run_params')}, run {params})")
+        if params is not None:
+            recorded_params = self.manifest.get("run_params") or {}
+            drifted = [f"{name} (index {recorded_params.get(name)!r}, "
+                       f"run {params.get(name)!r})"
+                       for name in sorted(set(recorded_params) | set(params))
+                       if recorded_params.get(name) != params.get(name)]
+            if drifted:
+                problems.append("run parameter mismatch: "
+                                + "; ".join(drifted))
         return problems
 
     def begin_run(self, config, corpus: str | None,

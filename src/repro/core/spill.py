@@ -684,7 +684,7 @@ class SpilledWindowStrategy:
             ctx.pass_started(key_index)
             comparisons = key_pass(
                 lambda: table.iter_sorted_by_key(key_index), key_index,
-                ctx.window, ctx.classify, ctx.pairs,
+                ctx.window, ctx.compare, ctx.pairs,
                 self.duplicate_elimination)
             if ctx.emit is not None:
                 hook = getattr(ctx.emit, "run_merged", None)

@@ -26,7 +26,7 @@ pairs, clusters, and comparison counts.
 from __future__ import annotations
 
 import copy
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
@@ -40,12 +40,10 @@ from .keygen import generate_gk, generate_gk_streaming
 from .observer import ObserverGroup
 from .simmeasure import Decision, PairVerdict, SimilarityMeasure
 from .theory import XmlEquationalTheory
-from .window import CompareBlock, adaptive_window_pass, pairwise, slide
+from .window import Compare, adaptive_window_pass, slide
 
 if TYPE_CHECKING:
     from .execution import ExecutionPlane
-
-Compare = Callable[[GkRow, GkRow], PairVerdict]
 
 BOTTOM_UP = "bottom_up"
 TOP_DOWN = "top_down"
@@ -59,16 +57,12 @@ TOP_DOWN = "top_down"
 class CandidateContext:
     """Everything a neighborhood strategy may need for one candidate.
 
-    ``classify`` is the run's one block classifier (see
-    :func:`~repro.core.window.block_classifier`), possibly wrapped for
-    per-pair observer events: every window block goes through it.
-    ``compare`` is the per-pair classifier for the strategies that never
-    batched (all-pairs, adaptive and incremental windows); a context
-    built with ``compare`` alone classifies blocks through
-    :func:`~repro.core.window.pairwise` over it.  ``decider`` is the
-    underlying :class:`PairDecider` the decision policy built.
-    Strategies that ship comparisons to other processes pickle
-    ``decider`` — the instrumented closures cannot travel.
+    ``compare`` is the run's one per-pair classifier: the decider's
+    ``compare``, possibly wrapped for per-pair observer events.  Every
+    strategy classifies through it.  ``decider`` is the underlying
+    :class:`PairDecider` the decision policy built.  Strategies that
+    ship comparisons to other processes pickle ``decider`` — the
+    instrumented closure cannot travel.
     """
 
     node: CandidateNode
@@ -83,17 +77,12 @@ class CandidateContext:
     cluster_sets: dict[str, ClusterSet]
     emit: ObserverGroup | None = None
     decider: PairDecider | None = None
-    classify: CompareBlock | None = None
     #: The run's execution backend; ``None`` means run in-process.
     plane: ExecutionPlane | None = None
     #: Rows already sharing one object per distinct key/OD string —
     #: set when the GK tables came from a DetectionIndex, letting the
     #: shared-memory plane publish them without re-interning.
     interned_rows: list[GkRow] | None = None
-
-    def __post_init__(self):
-        if self.classify is None:
-            self.classify = pairwise(self.compare)
 
     def execution_plane(self) -> ExecutionPlane:
         """The backend to run this candidate on (serial when unset)."""
@@ -492,7 +481,7 @@ class ParentGroupedStrategy:
         ordered = sorted(rows, key=lambda row: (row.keys[key_index], row.eid))
         # Groups share ctx.pairs sequentially (a pair confirmed in an
         # earlier group is skipped), so they always run in-process.
-        return slide(ordered, ctx.window, ctx.classify, ctx.pairs)
+        return slide(ordered, ctx.window, ctx.compare, ctx.pairs)
 
 
 # ---------------------------------------------------------------------------

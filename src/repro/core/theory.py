@@ -104,6 +104,10 @@ class XmlEquationalTheory:
         if not self.require and not self.alternatives:
             raise DetectionError("an equational theory needs conditions")
 
+    def __repr__(self) -> str:
+        return (f"XmlEquationalTheory(require={self.require!r}, "
+                f"alternatives={self.alternatives!r})")
+
     def _holds(self, condition: Condition, left: GkRow, right: GkRow,
                spec: CandidateSpec,
                cluster_sets: dict[str, ClusterSet]) -> bool:

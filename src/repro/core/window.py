@@ -15,15 +15,10 @@ order.  This module is the only code that walks a window:
   the run's first row, then :func:`slide` runs over one representative
   per run plus every empty-key row.
 
-Every comparison goes through one *block classifier*: a callable taking
-a list of ``(left, right)`` pairs and returning one verdict per pair, in
-order.  :func:`block_classifier` builds it from a decider — its
-``compare_block`` under ``batchCompare``, otherwise :func:`pairwise`
-over its ``compare``.  A block is one anchor's unseen predecessors or
-one equal-key run: its pairs share the anchor and have distinct
-partners, so no pair confirmed inside a block could have been skipped
-by a check made mid-block, and the classifier sees exactly the pairs, in
-exactly the order, of a pair-at-a-time loop.
+Every comparison goes through one per-pair classifier,
+``compare(left, right)``, which returns a verdict: a decider's
+``compare`` or a wrapper around it (observer events, incremental
+recording, relational matchers).
 
 Rows need an ``eid``; verdicts need an ``is_duplicate``.  Confirmed
 pairs are added to ``pairs`` as ``(smaller eid, larger eid)``.
@@ -39,8 +34,8 @@ from ..similarity import filtered_edit_similarity, levenshtein_similarity
 from .gk import GkRow, GkTable
 from .simmeasure import PairVerdict
 
-#: Block classifier: one call for a block of pairs, verdicts in order.
-CompareBlock = Callable[[list[tuple[GkRow, GkRow]]], list[PairVerdict]]
+#: Per-pair classifier: one verdict for one pair of rows.
+Compare = Callable[[GkRow, GkRow], PairVerdict]
 
 #: Reach rule: how many of the nearest predecessors in ``recent`` the
 #: arriving row is compared with.
@@ -58,56 +53,32 @@ def window_start(index: int, window: int) -> int:
     return max(0, index - window + 1)
 
 
-def pairwise(compare) -> CompareBlock:
-    """The block form of a per-pair classifier: ``compare`` pair by pair."""
-    def classify(block):
-        return [compare(left, right) for left, right in block]
-    return classify
-
-
-def block_classifier(decider, batch: bool = False) -> CompareBlock:
-    """A decider's one block classifier.
-
-    ``compare_block`` when ``batch`` is set and the decider has one
-    (bit-identical verdicts, amortized per-string work), otherwise
-    :func:`pairwise` over ``compare``; a bare callable is its own
-    ``compare``.
-    """
-    compare_block = getattr(decider, "compare_block", None) if batch else None
-    if compare_block is not None:
-        return compare_block
-    return pairwise(getattr(decider, "compare", decider))
-
-
-def _compare(candidates, classify: CompareBlock, pairs: set[tuple[int, int]],
+def _compare(candidates, compare: Compare, pairs: set[tuple[int, int]],
              skip_known: bool, fresh: Container[int] | None) -> int:
-    """Classify the unskipped pairs of ``candidates`` as one block.
+    """Classify the unskipped pairs of ``candidates`` one by one.
 
     With ``fresh``, a pair with neither member in it is skipped and each
-    pair reaches the classifier lower eid first — the order incremental
+    pair reaches ``compare`` lower eid first — the order incremental
     sessions have always compared in.  Returns the comparison count.
     """
-    block: list[tuple[GkRow, GkRow]] = []
-    for candidate in candidates:
-        left, right = candidate
+    comparisons = 0
+    for left, right in candidates:
         if fresh is not None:
             if left.eid not in fresh and right.eid not in fresh:
                 continue
             if right.eid < left.eid:
-                candidate = right, left
-        if skip_known and ((left.eid, right.eid) if left.eid < right.eid
-                           else (right.eid, left.eid)) in pairs:
+                left, right = right, left
+        pair = ((left.eid, right.eid) if left.eid < right.eid
+                else (right.eid, left.eid))
+        if skip_known and pair in pairs:
             continue
-        block.append(candidate)
-    if block:
-        for (left, right), verdict in zip(block, classify(block)):
-            if verdict.is_duplicate:
-                pairs.add((left.eid, right.eid) if left.eid < right.eid
-                          else (right.eid, left.eid))
-    return len(block)
+        comparisons += 1
+        if compare(left, right).is_duplicate:
+            pairs.add(pair)
+    return comparisons
 
 
-def slide(rows: Iterable[GkRow], window: int, classify: CompareBlock,
+def slide(rows: Iterable[GkRow], window: int, compare: Compare,
           pairs: set[tuple[int, int]], start: int = 0,
           skip_known: bool = True, fresh: Container[int] | None = None,
           reach: Reach | None = None) -> int:
@@ -115,11 +86,11 @@ def slide(rows: Iterable[GkRow], window: int, classify: CompareBlock,
 
     ``rows`` is any key-ordered iterable, read once.  Each row from
     position ``start`` on is compared with the up to ``window - 1`` rows
-    before it, oldest first, in one classifier block; the first
-    ``start`` rows serve only as predecessors.  Because each in-window
-    pair is anchored by exactly one row (the later one), contiguous
-    segments that each prepend their :func:`window_start` overlap cover
-    every adjacency of the serial pass exactly once.
+    before it, oldest first; the first ``start`` rows serve only as
+    predecessors.  Because each in-window pair is anchored by exactly
+    one row (the later one), contiguous segments that each prepend
+    their :func:`window_start` overlap cover every adjacency of the
+    serial pass exactly once.
 
     With ``skip_known`` (default) pairs already in ``pairs`` are not
     re-compared — the multi-pass method unions pair sets, so
@@ -137,7 +108,7 @@ def slide(rows: Iterable[GkRow], window: int, classify: CompareBlock,
             if reach is not None:
                 others = islice(recent, len(recent) - reach(recent, row),
                                 None)
-            comparisons += _compare(zip(others, repeat(row)), classify,
+            comparisons += _compare(zip(others, repeat(row)), compare,
                                     pairs, skip_known, fresh)
         recent.append(row)
     return comparisons
@@ -171,14 +142,14 @@ def _representatives(rows: Iterable[GkRow], key_index: int):
 
 
 def de_slide(replay: Callable[[], Iterable[GkRow]], key_index: int,
-             window: int, classify: CompareBlock,
+             window: int, compare: Compare,
              pairs: set[tuple[int, int]]) -> int:
     """Duplicate-elimination pass (DE-SNM idea, paper Sec. 5).
 
     ``replay`` returns a fresh ``(key, eid)``-ordered iterable each call;
     the pass reads it twice.  First every member of a run of equal
     non-empty keys is compared against the run's first row (equal keys
-    are the cheapest duplicates to confirm), one block per run; then the
+    are the cheapest duplicates to confirm); then the
     window slides over the representatives only, which on heavily
     duplicated data shrinks the windowed sequence substantially.  Rows
     whose key is empty carry no grouping evidence: each enters the
@@ -190,19 +161,19 @@ def de_slide(replay: Callable[[], Iterable[GkRow]], key_index: int,
     comparisons = 0
     for run in _runs(replay(), key_index):
         comparisons += _compare(zip(repeat(run[0]), islice(run, 1, None)),
-                                classify, pairs, True, None)
+                                compare, pairs, True, None)
     return comparisons + slide(_representatives(replay(), key_index),
-                               window, classify, pairs)
+                               window, compare, pairs)
 
 
 def key_pass(replay: Callable[[], Iterable[GkRow]], key_index: int,
-             window: int, classify: CompareBlock,
+             window: int, compare: Compare,
              pairs: set[tuple[int, int]],
              duplicate_elimination: bool = False) -> int:
     """One key's pass over a re-playable key-sorted source, plain or DE."""
     if duplicate_elimination:
-        return de_slide(replay, key_index, window, classify, pairs)
-    return slide(replay(), window, classify, pairs)
+        return de_slide(replay, key_index, window, compare, pairs)
+    return slide(replay(), window, compare, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -210,25 +181,21 @@ def key_pass(replay: Callable[[], Iterable[GkRow]], key_index: int,
 
 
 def window_pass(table: GkTable, key_index: int, window: int,
-                compare: Callable[[GkRow, GkRow], PairVerdict],
-                pairs: set[tuple[int, int]],
+                compare: Compare, pairs: set[tuple[int, int]],
                 skip_known: bool = True) -> int:
     """One sliding-window pass of ``compare``; returns the comparison count."""
-    return slide(table.sorted_by_key(key_index), window, pairwise(compare),
-                 pairs, skip_known=skip_known)
+    return slide(table.sorted_by_key(key_index), window, compare, pairs,
+                 skip_known=skip_known)
 
 
 def de_window_pass(table: GkTable, key_index: int, window: int,
-                   compare: Callable[[GkRow, GkRow], PairVerdict],
-                   pairs: set[tuple[int, int]]) -> int:
+                   compare: Compare, pairs: set[tuple[int, int]]) -> int:
     """One duplicate-elimination pass of ``compare`` (see :func:`de_slide`)."""
     ordered = table.sorted_by_key(key_index)
-    return de_slide(lambda: ordered, key_index, window, pairwise(compare),
-                    pairs)
+    return de_slide(lambda: ordered, key_index, window, compare, pairs)
 
 
-def multipass(table: GkTable, window: int,
-              compare: Callable[[GkRow, GkRow], PairVerdict],
+def multipass(table: GkTable, window: int, compare: Compare,
               key_indices: list[int] | None = None,
               duplicate_elimination: bool = False,
               ) -> tuple[set[tuple[int, int]], int]:
@@ -237,10 +204,9 @@ def multipass(table: GkTable, window: int,
     comparisons = 0
     indices = (key_indices if key_indices is not None
                else list(range(table.key_count)))
-    classify = pairwise(compare)
     for key_index in indices:
         ordered = table.sorted_by_key(key_index)
-        comparisons += key_pass(lambda: ordered, key_index, window, classify,
+        comparisons += key_pass(lambda: ordered, key_index, window, compare,
                                 pairs, duplicate_elimination)
     return pairs, comparisons
 
@@ -295,5 +261,5 @@ def adaptive_window_pass(table: GkTable, key_index: int,
             count = distance
         return count
 
-    return slide(table.sorted_by_key(key_index), max_window,
-                 pairwise(compare), pairs, reach=reach)
+    return slide(table.sorted_by_key(key_index), max_window, compare, pairs,
+                 reach=reach)

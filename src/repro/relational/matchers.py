@@ -26,8 +26,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from ..similarity import (DEFAULT_PHI_CACHE_SIZE, CompiledCondition,
-                          ComparisonPlan, ComparisonStats, PairBatch,
-                          PhiCache)
+                          ComparisonPlan, ComparisonStats, PhiCache)
 from .record import Record
 
 Matcher = Callable[[Record, Record], bool]
@@ -78,44 +77,14 @@ class WeightedFieldMatcher:
     def _values(self, record: Record) -> list[str]:
         return [record.get(field_name) for field_name in self._fields]
 
-    def _batch(self) -> PairBatch:
-        batch = self.__dict__.get("_pair_batch")
-        if batch is None:
-            batch = self.__dict__["_pair_batch"] = PairBatch(self.plan)
-        return batch
-
     def similarity(self, left: Record, right: Record) -> float:
         """Weighted-average field similarity in [0, 1] (always exact)."""
         return self.plan.score(self._values(left), self._values(right))
-
-    def similarity_block(self, block: list[tuple[Record, Record]]) -> list[float]:
-        """Exact scores for a block of pairs, batched.
-
-        Per-string artifacts are shared across the block and repeated
-        edit distances reuse DP rows; every score is bit-identical to
-        :meth:`similarity` on the same pair.
-        """
-        return self._batch().score_block(
-            [(self._values(left), self._values(right)) for left, right in block])
 
     def __call__(self, left: Record, right: Record) -> bool:
         if not self.use_filters:
             return self.similarity(left, right) >= self.threshold
         return self.plan.decide(self._values(left), self._values(right))
-
-    def match_block(self, block: list[tuple[Record, Record]]) -> list[bool]:
-        """Batched decisions, bit-identical to calling the matcher per pair.
-
-        With filters armed this runs the column-wise prefilters over the
-        whole block first; without them every pair is scored exactly
-        (the plan carries no threshold then, so decisions reduce to
-        comparing the exact scores)."""
-        values = [(self._values(left), self._values(right))
-                  for left, right in block]
-        if not self.use_filters:
-            return [score >= self.threshold
-                    for score in self._batch().score_block(values)]
-        return self._batch().decide_block(values)
 
 
 @dataclass(frozen=True)
@@ -174,15 +143,3 @@ class RuleMatcher:
             return any(compiled.holds(left.get(field), right.get(field))
                        for field, compiled in self._alternatives)
         return True
-
-    def match_block(self, block: list[tuple[Record, Record]]) -> list[bool]:
-        """Block API for uniformity with :class:`WeightedFieldMatcher`.
-
-        Equational-theory conditions short-circuit *within* a pair (a
-        failed ``require`` skips every later condition), so a column-wise
-        sweep would evaluate conditions the serial matcher never touches.
-        The per-pair loop keeps that short-circuiting — and therefore
-        the exact stats — while letting callers drive rules and weighted
-        matchers through one interface.
-        """
-        return [self(left, right) for left, right in block]

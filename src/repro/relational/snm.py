@@ -75,7 +75,6 @@ class SnmResult:
 def sorted_neighborhood(relation: Relation, keys: list[RelationalKey],
                         matcher: Matcher, window: int = 5,
                         closure: bool = True,
-                        batch: bool = False,
                         plane=None) -> SnmResult:
     """Run (multi-pass) SNM over ``relation``.
 
@@ -97,11 +96,6 @@ def sorted_neighborhood(relation: Relation, keys: list[RelationalKey],
     closure:
         When false, skip transitive closure (``clusters`` stays empty) —
         useful for measuring phase costs separately.
-    batch:
-        Route each window block through the matcher's ``match_block``
-        (batched comparison plane) instead of pair-at-a-time calls.
-        Requires a matcher exposing ``match_block``; pairs and clusters
-        are bit-identical either way.
     plane:
         An :class:`~repro.core.execution.ExecutionPlane` to run the
         passes on.  A parallel plane shards each pass into overlapping
@@ -113,8 +107,6 @@ def sorted_neighborhood(relation: Relation, keys: list[RelationalKey],
         raise ValueError("at least one key is required")
     if window < 2:
         raise ValueError("window size must be >= 2")
-    if batch and getattr(matcher, "match_block", None) is None:
-        raise ValueError("batch=True requires a matcher with match_block")
     if plane is None:
         plane = SerialPlane()
 
@@ -128,8 +120,7 @@ def sorted_neighborhood(relation: Relation, keys: list[RelationalKey],
 
         start = time.perf_counter()
         result.comparisons += plane.relational_pass(
-            [relation[rid] for rid in keyed], window, matcher, batch,
-            result.pairs)
+            [relation[rid] for rid in keyed], window, matcher, result.pairs)
         result.window_seconds += time.perf_counter() - start
 
     if closure:

@@ -8,7 +8,6 @@ from .registry import (DEFAULT_TRAITS, PhiTraits, SimilarityFunction,
                        available_similarities, exact_casefold_similarity,
                        exact_similarity, get_similarity, get_traits,
                        register_similarity, reset_registry)
-from .batch import PairBatch, bag_distance_from_artifacts, string_artifacts
 from .filters import (bag_distance, bag_filter_bound,
                       bounded_edit_similarity, bounded_levenshtein,
                       filtered_edit_similarity, length_filter_bound)
@@ -28,7 +27,6 @@ __all__ = [
     "CompiledCondition",
     "ComparisonPlan",
     "ComparisonStats",
-    "PairBatch",
     "PhiCache",
     "PhiTraits",
     "PlanField",
@@ -36,7 +34,6 @@ __all__ = [
     "SimilarityFunction",
     "available_similarities",
     "bag_distance",
-    "bag_distance_from_artifacts",
     "bag_filter_bound",
     "bounded_edit_similarity",
     "bounded_levenshtein",
@@ -69,7 +66,6 @@ __all__ = [
     "register_similarity",
     "reset_registry",
     "soundex",
-    "string_artifacts",
     "token_jaccard",
     "tokenize",
     "year_similarity",

@@ -7,8 +7,8 @@ Damerau variant (adjacent transpositions count as one operation — the
 Dirty XML Data Generator's *swap* error is exactly such a transposition),
 and normalized similarities in ``[0, 1]``.
 
-Every Levenshtein distance — full, capped by the comparison plane's
-filters, or batched — runs through one bit-parallel kernel,
+Every Levenshtein distance — full or capped by the comparison plane's
+filters — runs through one bit-parallel kernel,
 :func:`levenshtein_distance` (Myers 1999, in Hyyrö's 2003 formulation
 for the global distance): one DP column is a pair of bit vectors held
 in Python ints, so a text character costs a fixed handful of integer

@@ -130,8 +130,6 @@ class ComparisonStats:
     edit_full_evals: int = 0       # uncapped runs of edit-like φs
     edit_bounded_evals: int = 0    # capped (floor-bounded) runs
     redundant_comparisons: int = 0  # pairs re-confirmed by parallel shards
-    batched_pairs: int = 0         # pairs evaluated through a PairBatch
-    batch_prefilter_drops: int = 0  # batch pairs dropped by column prefilters
     # Three-way decision bands (repro.decision): unique pairs this
     # decider placed in each band.  Zero everywhere for plain threshold
     # policies.

@@ -248,3 +248,33 @@ class TestRetiredExecutionPlane:
         items = str(error.value).splitlines()[1:]
         assert any("executionPlane" in item for item in items)
         assert any("window size" in item for item in items)
+
+
+class TestRetiredBatchCompare:
+    """``batchCompare`` is retired: every pair is classified one at a time.
+
+    Earlier writers always wrote ``batchCompare="false"``, so such
+    documents still load; ``"true"`` asked for a path that no longer
+    exists and is refused with an itemized error.
+    """
+
+    @staticmethod
+    def document(value):
+        return CONFIG_XML.replace(
+            'odThreshold="0.65"',
+            f'odThreshold="0.65" batchCompare="{value}"')
+
+    def test_false_loads(self):
+        config = load_config(self.document("false"))
+        assert config == load_config(CONFIG_XML)
+        assert "batchCompare" not in dump_config(config)
+
+    def test_true_is_refused(self):
+        xml = self.document("true").replace('window="5"', 'window="1"')
+        with pytest.raises(ConfigError) as error:
+            load_config(xml)
+        message = str(error.value)
+        assert message.startswith("invalid configuration:\n  - ")
+        items = message.splitlines()[1:]
+        assert any('batchCompare="true"' in item for item in items)
+        assert any("window size" in item for item in items)

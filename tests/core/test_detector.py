@@ -138,3 +138,35 @@ class TestDetectorEndToEnd:
         result = SxnmDetector(movie_config()).run(MOVIES_XML)
         with pytest.raises(DetectionError):
             result.cluster_set("ghost")
+
+
+class TestOverridesStayOnTheDetector:
+    """Keyword overrides land on the detector's own copy of the config."""
+
+    def test_detector_overrides_leave_the_callers_config_alone(self,
+                                                               tmp_path):
+        config = movie_config()
+        index_dir = str(tmp_path / "index")
+        detector = SxnmDetector(config, decision="three-way", stream=True,
+                                index_dir=index_dir, spill_max_rows=7,
+                                strategies=["window", "exact-key"])
+        assert config == movie_config()
+        assert detector.config.decision_mode == "three-way"
+        assert detector.config.stream_parse
+        assert detector.config.spill_max_rows == 7
+        assert detector.config.index_dir == detector.index_dir == index_dir
+        assert [strategy.name for strategy
+                in detector.config.neighborhood_strategies] \
+            == ["window", "exact-key"]
+        plain = SxnmDetector(config)
+        assert plain.decision_mode == "threshold"
+        assert not plain.stream and plain.index_dir is None
+        assert plain.strategies == []
+
+    def test_session_index_dir_stays_on_the_session(self, tmp_path):
+        from repro.core import IncrementalSxnm
+        config = movie_config()
+        index_dir = str(tmp_path / "session")
+        session = IncrementalSxnm(config, index_dir=index_dir)
+        assert session.config.index_dir == index_dir
+        assert config.index_dir is None

@@ -21,7 +21,6 @@ from repro.core import (ClusterSet, CounterObserver, DetectionEngine,
                         SerialPlane, SharedMemoryPlane, SxnmDetector,
                         make_plane)
 from repro.core import execution
-from repro.core.window import pairwise
 
 
 def table_with(keys_per_row, key_count=None):
@@ -57,7 +56,6 @@ class PlaneCtx:
         self.table = table
         self.window = window
         self.compare = compare
-        self.classify = pairwise(compare)
         self.decider = None
         self.config = config
         self.key_indices = list(range(table.key_count))

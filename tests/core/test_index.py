@@ -44,11 +44,26 @@ class TestFingerprints:
         assert (config_fingerprint(dataset1_config())
                 != config_fingerprint(dataset2_config()))
 
+    def test_sensitive_to_strategies_and_decision_mode(self):
+        from repro.config import StrategySpec
+        base = config_fingerprint(dataset1_config())
+        unioned = dataset1_config()
+        unioned.neighborhood_strategies = [StrategySpec("window"),
+                                           StrategySpec("minhash-lsh")]
+        seeded = dataset1_config()
+        seeded.neighborhood_strategies = [
+            StrategySpec("window"), StrategySpec("minhash-lsh", {"seed": "7"})]
+        three_way = dataset1_config()
+        three_way.decision_mode = "three-way"
+        assert len({base, config_fingerprint(unioned),
+                    config_fingerprint(seeded),
+                    config_fingerprint(three_way)}) == 4
+
     def test_perf_knobs_excluded(self):
         base = dataset1_config()
         tuned = dataset1_config()
         tuned.workers = 8
-        tuned.batch_compare = True
+        tuned.use_filters = True
         tuned.phi_cache_dir = "/tmp/phi"
         tuned.index_dir = "/tmp/idx"
         assert config_fingerprint(tuned) == config_fingerprint(base)

@@ -8,7 +8,8 @@ recomputing only the candidates that had not been committed.  A golden
 two-candidate scenario pins the mechanics; a hypothesis battery drives
 corpus shape, window, and thresholds through the same kill/resume
 cycle.  Resume refuses (``DetectionError``) when the index was
-recorded under a different config, corpus, or run parameters.
+recorded under a different config, corpus, or run parameters — the
+detector's result-affecting settings included.
 """
 
 import pytest
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 from repro.core import SxnmDetector
 from repro.core.observer import CounterObserver, EngineObserver
+from repro.core.theory import OdCondition, XmlEquationalTheory
 from repro.datagen import generate_dataset2, generate_dirty_movies
+from repro.decision import ThreeWayCalibration
 from repro.errors import DetectionError
 from repro.experiments import dataset1_config, dataset2_config
 from repro.xmlmodel import serialize
@@ -101,14 +104,29 @@ class TestKillAndResume:
         assert counter.counts.get("index_candidates_resumable", 0) == 0
 
 
+def calibration():
+    return ThreeWayCalibration(upper=0.8, lower=0.6, target_fpr=0.05,
+                               coverage=0.9, confidence=0.95,
+                               empirical_fpr=0.02, fpr_upper_bound=0.07)
+
+
+def theories():
+    return {"movie": XmlEquationalTheory(
+        require=[OdCondition("title/text()", "edit", 0.8)])}
+
+
 class TestResumeRefusals:
-    def seeded(self, tmp_path):
+    def seeded(self, tmp_path, **kwargs):
         text = serialize(generate_dirty_movies(20, seed=4,
                                                profile="effectiveness"))
         index_dir = str(tmp_path / "index")
-        SxnmDetector(dataset1_config(window=6),
-                     index_dir=index_dir).run(text)
+        SxnmDetector(dataset1_config(window=6), index_dir=index_dir,
+                     **kwargs).run(text)
         return text, index_dir
+
+    def resume(self, text, index_dir, **kwargs):
+        return SxnmDetector(dataset1_config(window=6), index_dir=index_dir,
+                            **kwargs).run(text, resume=True)
 
     def test_refuses_without_an_index(self, tmp_path):
         text = serialize(generate_dirty_movies(10, seed=4))
@@ -139,6 +157,61 @@ class TestResumeRefusals:
             SxnmDetector(dataset1_config(window=6),
                          index_dir=index_dir).run(text, window=9,
                                                   resume=True)
+
+    # Settings that change pairs must retire the index: a resume under a
+    # different value would restore candidates detected under the old one.
+
+    def test_refuses_on_changed_strategies(self, tmp_path):
+        text, index_dir = self.seeded(tmp_path)
+        with pytest.raises(DetectionError,
+                           match="config fingerprint mismatch"):
+            self.resume(text, index_dir,
+                        strategies=["window", "minhash-lsh"])
+
+    def test_refuses_on_changed_decision_rule(self, tmp_path):
+        text, index_dir = self.seeded(tmp_path)
+        with pytest.raises(DetectionError,
+                           match="run parameter mismatch: decision "):
+            self.resume(text, index_dir, decision="combined")
+
+    def test_refuses_on_changed_duplicate_elimination(self, tmp_path):
+        text, index_dir = self.seeded(tmp_path)
+        with pytest.raises(DetectionError, match="run parameter mismatch: "
+                           "duplicate_elimination"):
+            self.resume(text, index_dir, duplicate_elimination=True)
+
+    def test_refuses_on_three_way_with_a_calibration(self, tmp_path):
+        text, index_dir = self.seeded(tmp_path)
+        with pytest.raises(DetectionError) as error:
+            self.resume(text, index_dir, decision="three-way",
+                        calibration=calibration())
+        assert "config fingerprint mismatch" in str(error.value)
+        assert "run parameter mismatch: calibration" in str(error.value)
+        # A degenerate three-way run refuses a fitted band too.
+        text, index_dir = self.seeded(tmp_path / "three-way",
+                                      decision="three-way")
+        with pytest.raises(DetectionError, match="run parameter mismatch: "
+                           "calibration"):
+            self.resume(text, index_dir, decision="three-way",
+                        calibration=calibration())
+
+    def test_refuses_on_changed_theories(self, tmp_path):
+        text, index_dir = self.seeded(tmp_path)
+        with pytest.raises(DetectionError,
+                           match="run parameter mismatch: theories"):
+            self.resume(text, index_dir, theories=theories())
+
+    def test_resumes_under_equal_detector_settings(self, tmp_path):
+        options = dict(decision="three-way", consistency=False,
+                       duplicate_elimination=True)
+        text, index_dir = self.seeded(tmp_path, calibration=calibration(),
+                                      theories=theories(), **options)
+        baseline = SxnmDetector(dataset1_config(window=6),
+                                calibration=calibration(),
+                                theories=theories(), **options).run(text)
+        resumed = self.resume(text, index_dir, calibration=calibration(),
+                              theories=theories(), **options)
+        assert outcome_view(resumed) == outcome_view(baseline)
 
     def test_refuses_on_empty_index(self, tmp_path):
         text = serialize(generate_dirty_movies(10, seed=4))

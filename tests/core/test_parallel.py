@@ -21,7 +21,7 @@ from repro.core import (ClusterSet, CounterObserver, DetectionEngine,
 from repro.core.execution import (PassResult, merge_pass_results,
                                   plan_segments, segment_bounds,
                                   shared_executor)
-from repro.core.window import pairwise, slide
+from repro.core.window import slide
 from repro.similarity import PhiCache
 
 
@@ -47,7 +47,6 @@ class PlaneCtx:
         self.table = table
         self.window = window
         self.compare = compare
-        self.classify = pairwise(compare)
         self.decider = None
         self.config = None
         self.key_indices = key_indices
@@ -139,7 +138,7 @@ class TestPlanning:
         for low, high in segment_bounds(len(ordered), 3):
             first = max(0, low - window + 1)
             sharded += slide(ordered[first:high], window,
-                             pairwise(first_char_duplicate), sharded_pairs,
+                             first_char_duplicate, sharded_pairs,
                              start=low - first)
         assert sharded_pairs == serial_pairs
         # One shared ``pairs`` set here means skip_known still applies

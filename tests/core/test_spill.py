@@ -23,7 +23,7 @@ from repro.core.candidates import CandidateHierarchy
 from repro.core.gk import GkRow
 from repro.core.spill import (DEFAULT_SPILL_MAX_ROWS, XmlFileSource,
                               document_events, merge_runs, source_events)
-from repro.core.window import de_slide, pairwise, slide
+from repro.core.window import de_slide, slide
 from repro.datagen import generate_dirty_movies
 from repro.errors import DetectionError
 from repro.experiments import dataset1_config
@@ -216,7 +216,7 @@ class TestStreamKernels:
                     streamed_pairs: set = set()
                     streamed = slide(
                         table.iter_sorted_by_key(key_index), window,
-                        pairwise(self.compare()), streamed_pairs)
+                        self.compare(), streamed_pairs)
                     assert streamed == expected
                     assert streamed_pairs == expected_pairs
 
@@ -231,43 +231,22 @@ class TestStreamKernels:
                 streamed_pairs: set = set()
                 streamed = de_slide(
                     lambda: table.iter_sorted_by_key(key_index), key_index,
-                    4, pairwise(self.compare()), streamed_pairs)
+                    4, self.compare(), streamed_pairs)
                 assert streamed == expected
                 assert streamed_pairs == expected_pairs
 
     def test_skip_known_pairs_not_recompared(self):
         rows = [GkRow(i, ["xx"], [], {}) for i in range(4)]
         pairs = {(0, 1)}
-        count = slide(iter(rows), 2, pairwise(self.compare()), pairs)
+        count = slide(iter(rows), 2, self.compare(), pairs)
         assert count == 2  # (1,2) and (2,3); (0,1) was known
         assert pairs == {(0, 1), (1, 2), (2, 3)}
 
-    def test_compare_block_variant_matches(self, movies, tmp_path):
-        tables, _, config = spill_tables(movies, tmp_path, max_rows=5)
-        reference = generate_gk(movies, config)
-        compare = self.compare()
-
-        def block_compare(block):
-            return [compare(left, right) for left, right in block]
-
-        table = tables["movie"]
-        for key_index in range(table.key_count):
-            expected_pairs: set = set()
-            expected = segment_window_pass(
-                reference["movie"].sorted_by_key(key_index), 4, compare,
-                expected_pairs, compare_block=block_compare)
-            streamed_pairs: set = set()
-            streamed = slide(
-                table.iter_sorted_by_key(key_index), 4, block_compare,
-                streamed_pairs)
-            assert streamed == expected
-            assert streamed_pairs == expected_pairs
-
     def test_window_too_small_rejected(self):
         with pytest.raises(ValueError):
-            slide(iter(()), 1, pairwise(self.compare()), set())
+            slide(iter(()), 1, self.compare(), set())
         with pytest.raises(ValueError):
-            de_slide(lambda: iter(()), 0, 1, pairwise(self.compare()), set())
+            de_slide(lambda: iter(()), 0, 1, self.compare(), set())
 
 
 class TestSourceEvents:

@@ -241,9 +241,9 @@ class TestWindowStartHelper:
         assert window_start(10, 2) == 9
 
     def test_window_one_rejected(self):
-        from repro.core.window import pairwise, slide
+        from repro.core.window import slide
         with pytest.raises(ValueError):
-            slide([], 1, pairwise(always_duplicate), set())
+            slide([], 1, always_duplicate, set())
 
     def test_window_larger_than_rows(self):
         # A window exceeding the row count degenerates to all-pairs —
@@ -273,9 +273,9 @@ class TestWindowStartHelper:
     def test_segment_overlap_never_anchors(self):
         # Overlap rows only serve as predecessors: a shard whose anchors
         # start past the end contributes nothing.
-        from repro.core.window import pairwise, slide
+        from repro.core.window import slide
         ordered = table_with([["A"], ["B"], ["C"]]).sorted_by_key(0)
         pairs: set = set()
-        assert slide(ordered, 3, pairwise(always_duplicate), pairs,
+        assert slide(ordered, 3, always_duplicate, pairs,
                      start=len(ordered)) == 0
         assert pairs == set()

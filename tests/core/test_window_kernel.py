@@ -4,18 +4,17 @@
 replaced every hand-written window walk.  These properties pin them to
 the frozen copies in :mod:`tests.core.reference_window` on random
 key-sorted rows with repeated and empty keys: equal pairs, equal
-comparison counts, and an equal classifier call sequence, block by
-block — over windows 2–7, shard cuts with ``window_start`` overlap,
-list and one-shot iterator input, plain and DE passes, skip on and off,
-and per-pair and block classifiers.
+comparison counts, and an equal classifier call sequence — over
+windows 2–7, shard cuts with ``window_start`` overlap, list and
+one-shot iterator input, plain and DE passes, and skip on and off.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import GkRow, GkTable, PairVerdict
-from repro.core.window import (adaptive_window_pass, de_slide, pairwise,
-                               slide, window_start)
+from repro.core.window import (adaptive_window_pass, de_slide, slide,
+                               window_start)
 from tests.core import reference_window as frozen
 
 KEYS = st.sampled_from(["", "", "a", "ab", "abc", "b", "ba", "c", "cab"])
@@ -45,11 +44,10 @@ def known_pairs(draw, table: GkTable) -> set[tuple[int, int]]:
 
 
 class Recorder:
-    """A deterministic classifier that logs every call it receives.
+    """A deterministic classifier that logs every pair it receives.
 
-    ``compare`` logs one entry per pair, ``compare_block`` one entry per
-    block; a pair is a duplicate when the eid sum is a multiple of 3 or
-    the keys share a non-empty first letter.
+    A pair is a duplicate when the eid sum is a multiple of 3 or the
+    keys share a non-empty first letter.
     """
 
     def __init__(self):
@@ -66,14 +64,6 @@ class Recorder:
         self.calls.append((left.eid, right.eid))
         return self.verdict(left, right)
 
-    def compare_block(self, block):
-        self.calls.append(tuple((left.eid, right.eid)
-                                for left, right in block))
-        return [self.verdict(left, right) for left, right in block]
-
-    def classifier(self, batch: bool):
-        return self.compare_block if batch else pairwise(self.compare)
-
 
 def source(ordered: list, one_shot: bool):
     return iter(list(ordered)) if one_shot else ordered
@@ -82,26 +72,24 @@ def source(ordered: list, one_shot: bool):
 class TestSlideMatchesFrozenSegmentPass:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), table=tables(), window=st.integers(2, 7),
-           batch=st.booleans(), skip=st.booleans(), one_shot=st.booleans())
-    def test_whole_pass(self, data, table, window, batch, skip, one_shot):
+           skip=st.booleans(), one_shot=st.booleans())
+    def test_whole_pass(self, data, table, window, skip, one_shot):
         ordered = table.sorted_by_key(0)
         known = known_pairs(data.draw, table)
         old, new = Recorder(), Recorder()
         old_pairs, new_pairs = set(known), set(known)
         expected = frozen.segment_window_pass(
-            ordered, window, old.compare, old_pairs,
-            compare_block=old.compare_block if batch else None,
-            skip_known=skip)
-        got = slide(source(ordered, one_shot), window,
-                    new.classifier(batch), new_pairs, skip_known=skip)
+            ordered, window, old.compare, old_pairs, skip_known=skip)
+        got = slide(source(ordered, one_shot), window, new.compare,
+                    new_pairs, skip_known=skip)
         assert got == expected
         assert new_pairs == old_pairs
         assert new.calls == old.calls
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), table=tables(), window=st.integers(2, 7),
-           batch=st.booleans(), skip=st.booleans(), one_shot=st.booleans())
-    def test_shard_cuts_with_overlap(self, data, table, window, batch, skip,
+           skip=st.booleans(), one_shot=st.booleans())
+    def test_shard_cuts_with_overlap(self, data, table, window, skip,
                                      one_shot):
         ordered = table.sorted_by_key(0)
         cuts = sorted(set(data.draw(st.lists(
@@ -115,12 +103,10 @@ class TestSlideMatchesFrozenSegmentPass:
             first = window_start(low, window)
             expected += frozen.segment_window_pass(
                 ordered[first:high], window, old.compare, old_pairs,
-                start=low - first,
-                compare_block=old.compare_block if batch else None,
-                skip_known=skip)
+                start=low - first, skip_known=skip)
             got += slide(source(ordered[first:high], one_shot), window,
-                         new.classifier(batch), new_pairs,
-                         start=low - first, skip_known=skip)
+                         new.compare, new_pairs, start=low - first,
+                         skip_known=skip)
         assert got == expected
         assert new_pairs == old_pairs
         assert new.calls == old.calls
@@ -129,17 +115,16 @@ class TestSlideMatchesFrozenSegmentPass:
 class TestDeSlideMatchesFrozenDePass:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), table=tables(), window=st.integers(2, 7),
-           batch=st.booleans(), one_shot=st.booleans())
-    def test_de_pass(self, data, table, window, batch, one_shot):
+           one_shot=st.booleans())
+    def test_de_pass(self, data, table, window, one_shot):
         ordered = table.sorted_by_key(0)
         known = known_pairs(data.draw, table)
         old, new = Recorder(), Recorder()
         old_pairs, new_pairs = set(known), set(known)
         expected = frozen.de_window_pass(
-            table, 0, window, old.compare, old_pairs,
-            compare_block=old.compare_block if batch else None)
+            table, 0, window, old.compare, old_pairs)
         got = de_slide(lambda: source(ordered, one_shot), 0, window,
-                       new.classifier(batch), new_pairs)
+                       new.compare, new_pairs)
         assert got == expected
         assert new_pairs == old_pairs
         assert new.calls == old.calls
@@ -169,8 +154,7 @@ class TestIncrementalSkipRule:
         rows = [GkRow(eid, ["k"], []) for eid in (5, 1, 4, 0)]
         recorder = Recorder()
         pairs: set = set()
-        count = slide(rows, 3, pairwise(recorder.compare), pairs,
-                      fresh={4})
+        count = slide(rows, 3, recorder.compare, pairs, fresh={4})
         # Only pairs touching eid 4 are compared, lower eid first.
         assert recorder.calls == [(4, 5), (1, 4), (0, 4)]
         assert count == 3

@@ -150,12 +150,11 @@ class TestThreeWayMeasureUnit:
                 GkRow(2, [], ["Once Upon a Tim in the West", "139"]),
                 GkRow(3, [], ["zzz", "5"]))
 
-    def test_compare_block_bands_every_pair(self):
+    def test_compare_bands_every_pair(self):
         near, near2, far = self.rows()
         measure = self.measure(self.open_calibration())
-        block = [(near, near2), (near, far), (near2, far)]
-        verdicts = measure.compare_block(block)
-        assert len(verdicts) == 3
+        for left, right in [(near, near2), (near, far), (near2, far)]:
+            measure.compare(left, right)
         counts = measure.band_counts()
         assert sum(counts.values()) == 3
         assert measure.band(2, 1) == "auto_dup"

@@ -89,27 +89,6 @@ class TestDetect:
         assert any(entry.name.endswith(".xrun")
                    for entry in spill_dir.iterdir())
 
-    def test_batch_flag_same_clusters(self, workspace, capsys):
-        _, config, data = workspace
-        assert main(["detect", "-c", config, data]) == 0
-        baseline = capsys.readouterr().out
-        assert main(["detect", "-c", config, data, "--batch"]) == 0
-        batched = capsys.readouterr().out
-
-        def clusters(text):
-            return [line for line in text.splitlines()
-                    if line.startswith(("candidate", "  eids"))]
-
-        assert clusters(batched) == clusters(baseline)
-
-        assert main(["detect", "-c", config, data, "--batch",
-                     "--trace"]) == 0
-        trace = capsys.readouterr().err
-        import re
-        batched = [int(count) for count
-                   in re.findall(r"batched=(\d+)", trace)]
-        assert batched and sum(batched) > 0
-
 
 class TestIndex:
     def clusters(self, text):

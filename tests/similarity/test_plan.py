@@ -139,6 +139,42 @@ class TestPlanPruning:
                         assert outcome.score >= exact
                         assert outcome.score < threshold
 
+    def test_decide_equals_thresholded_exact_score(self):
+        plan = ComparisonPlan(FIELDS, threshold=0.65,
+                              phi_cache=PhiCache(4096))
+        exact_plan = ComparisonPlan(FIELDS)
+        rows = random_corpus(41, count=80)
+        for left, right in zip(rows, rows[1:]):
+            assert plan.decide(left, right) \
+                == (exact_plan.score(left, right) >= 0.65)
+        with pytest.raises(ValueError):
+            exact_plan.decide(rows[0], rows[1])
+
+    def test_probe_and_resolve_edge_cases(self):
+        plan = ComparisonPlan(FIELDS, threshold=0.65)
+        missing = [None, None, None]
+        probe = plan.probe(missing, missing)
+        assert (probe.score, probe.prefiltered) == (0.0, False)
+        assert plan.resolve(probe).score == 0.0
+        assert plan.resolve(probe).exact
+        # Without a threshold, resolve scores every present field exactly.
+        exact_plan = ComparisonPlan(FIELDS)
+        left, right = ["matrix", "1999", None], ["matrlx", "1999", None]
+        outcome = exact_plan.resolve(exact_plan.probe(left, right))
+        assert outcome.exact
+        assert outcome.score == exact_plan.score(left, right)
+        assert outcome.fields_evaluated == 2
+
+    def test_field_rules_compile_like_plan_fields(self):
+        from repro.relational import FieldRule
+        rules = [FieldRule(spec.label, spec.weight, spec.phi)
+                 for spec in FIELDS]
+        from_rules = ComparisonPlan.from_field_rules(rules)
+        plan = ComparisonPlan(FIELDS)
+        rows = random_corpus(5, count=40)
+        for left, right in zip(rows, rows[1:]):
+            assert from_rules.score(left, right) == plan.score(left, right)
+
     def test_prefilter_counts(self):
         stats = ComparisonStats()
         plan = ComparisonPlan([PlanField("title", 1.0, "edit")],
@@ -177,22 +213,22 @@ class TestPlanPruning:
         assert ComparisonStats().phi_cache_hit_rate == 0.0
         assert set(two.as_dict()) == set(one.as_dict())
 
-    def test_batch_counters_survive_merge_and_as_dict(self):
+    def test_later_counters_survive_merge_and_as_dict(self):
         # Regression: as_dict() used to enumerate counters by hand, so
         # merge() (which iterates that dict) silently dropped any field
         # added later — the parallel workers' stats-delta protocol would
-        # have lost the batch counters the same way.
-        one = ComparisonStats(batched_pairs=5, batch_prefilter_drops=2)
-        two = ComparisonStats(batched_pairs=7, batch_prefilter_drops=1)
+        # have lost such counters the same way.
+        one = ComparisonStats(redundant_comparisons=5, pairs_review=2)
+        two = ComparisonStats(redundant_comparisons=7, pairs_review=1)
         one.merge(two)
-        assert one.batched_pairs == 12
-        assert one.batch_prefilter_drops == 3
-        assert one.as_dict()["batched_pairs"] == 12
-        assert one.as_dict()["batch_prefilter_drops"] == 3
+        assert one.redundant_comparisons == 12
+        assert one.pairs_review == 3
+        assert one.as_dict()["redundant_comparisons"] == 12
+        assert one.as_dict()["pairs_review"] == 3
 
     def test_as_dict_enumerates_every_dataclass_field(self):
         import dataclasses
-        stats = ComparisonStats(batched_pairs=1)
+        stats = ComparisonStats(redundant_comparisons=1)
         assert set(stats.as_dict()) \
             == {field.name for field in dataclasses.fields(stats)}
 
@@ -218,13 +254,13 @@ class TestPlanPruning:
         assert one.strategy_counters["window"]["generated"] == 7
 
     def test_delta_subtracts_every_field_including_mappings(self):
-        stats = ComparisonStats(pairs_scored=10, batched_pairs=4)
+        stats = ComparisonStats(pairs_scored=10, redundant_comparisons=4)
         stats.strategy_counters["window"] = {"generated": 8, "compared": 6}
-        before = ComparisonStats(pairs_scored=3, batched_pairs=4)
+        before = ComparisonStats(pairs_scored=3, redundant_comparisons=4)
         before.strategy_counters["window"] = {"generated": 2, "compared": 6}
         delta = stats.delta(before.as_dict())
         assert delta.pairs_scored == 7
-        assert delta.batched_pairs == 0
+        assert delta.redundant_comparisons == 0
         # Zero-valued counter entries drop out of the delta entirely.
         assert delta.strategy_counters == {"window": {"generated": 6}}
 
