@@ -310,9 +310,7 @@ class DetectionEngine:
                     tables=tables, window=effective_window,
                     key_indices=key_indices, compare=compare, pairs=pairs,
                     cluster_sets=cluster_sets, emit=emit, decider=decider,
-                    plane=plane,
-                    interned_rows=(index.interned_rows(spec.name)
-                                   if tables_from_index else None))
+                    plane=plane)
 
                 if emit is not None:
                     emit.phase_started(PHASE_WINDOW, spec.name)

@@ -9,8 +9,8 @@ through the kernels of :mod:`repro.core.window`:
 * :class:`SharedMemoryPlane` — a persistent warm
   :class:`~concurrent.futures.ProcessPoolExecutor` fed through
   :mod:`multiprocessing.shared_memory`.  The plane publishes one
-  segment per candidate — the document-order GK rows with an interned
-  string pool, the per-key sorted index tables and the pre-pickled pair
+  segment per candidate — the document-order GK rows (interned at key
+  generation), the per-key sorted index tables and the pre-pickled pair
   classifier — and ships shards as *index ranges into the shared table*
   instead of pickled row slices.  Workers attach each segment once,
   memoize the unpickled classifier (φ memo and OD caches stay warm
@@ -390,48 +390,20 @@ atexit.register(shutdown_executors)
 # Shared-memory segments (parent side)
 
 
-def _intern_rows(table: GkTable) -> list[GkRow]:
-    """Copy the rows with equal strings collapsed to one object.
-
-    The pickle memo is identity-based: after interning, every repeated
-    key or OD string serializes as one definition plus back-references,
-    which is the "interned string pool" of the published segment.  The
-    copies are plain :class:`GkRow` values; the original table is never
-    mutated.
-    """
-    memo: dict[str, str] = {}
-
-    def canon(value):
-        if value is None:
-            return None
-        kept = memo.get(value)
-        if kept is None:
-            memo[value] = value
-            kept = value
-        return kept
-
-    return [GkRow(row.eid,
-                  [canon(key) for key in row.keys],
-                  [canon(od) for od in row.ods],
-                  {name: list(eids) for name, eids in row.children.items()})
-            for row in table]
-
-
 def build_segment_payload(table: GkTable, key_indices: list[int],
-                          comparer_pickle: bytes,
-                          interned_rows: list[GkRow] | None = None) -> dict:
+                          comparer_pickle: bytes) -> dict:
     """The per-candidate bundle one shared segment publishes.
 
-    Contains the interned document-order rows, the per-key sort index
-    (row *positions*, so shards can address anchors without shipping
-    rows) and the pre-pickled classifier.
-
-    ``interned_rows`` short-circuits the interning copy: a
-    :class:`~repro.core.index.DetectionIndex` decodes GK rows through a
-    string pool, so rows loaded from an index already share one object
-    per distinct string and publish as-is.
+    Contains the document-order rows, the per-key sort index (row
+    *positions*, so shards can address anchors without shipping rows)
+    and the pre-pickled classifier.  The rows arrive interned: key
+    generation pools every distinct key/OD string of a run into one
+    object, index loads decode through the index's string pool, and a
+    spilled table reads its runs through one shared memo.  The pickle
+    memo is identity-based, so each distinct string serializes once —
+    the segment's interned string pool.
     """
-    rows = _intern_rows(table) if interned_rows is None else interned_rows
+    rows = list(table)
     orders: dict[int, list[int]] = {}
     for key_index in key_indices:
         orders[key_index] = sorted(
@@ -775,8 +747,7 @@ class SharedMemoryPlane(ExecutionPlane):
     def _shards(self, ctx, comparer_pickle: bytes,
                 duplicate_elimination: bool) -> list[PassTask]:
         payload = build_segment_payload(
-            ctx.table, ctx.key_indices, comparer_pickle,
-            interned_rows=getattr(ctx, "interned_rows", None))
+            ctx.table, ctx.key_indices, comparer_pickle)
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         segment = None
         if len(blob) >= self.min_bytes:

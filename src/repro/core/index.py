@@ -24,8 +24,8 @@ directory holding
   config fingerprint it was recorded under.  GK rows are stored with an
   **interned string pool**: every distinct key/OD string appears once
   and rows reference it by position, so loading yields rows whose equal
-  strings are one object — exactly the layout the shared-memory
-  execution plane publishes (it can skip re-interning per run).
+  strings are one object — as key generation produces them, and as the
+  shared-memory execution plane publishes them.
 
 An incremental session is a *base snapshot* (role ``session``) followed
 by a chain of *delta* segments, each holding only the rows and pairs
@@ -641,19 +641,6 @@ class DetectionIndex:
             self._payloads.pop("gk", None)
             return None
         return self._tables
-
-    def interned_rows(self, candidate: str) -> list[GkRow] | None:
-        """Document-order rows for ``candidate`` from the interned pool.
-
-        Non-``None`` only when the GK tables were loaded from this
-        index — the rows then already share one object per distinct
-        string, and the shared-memory plane publishes them directly
-        instead of re-interning per run.
-        """
-        if self._tables is None:
-            return None
-        table = self._tables.get(candidate)
-        return list(table) if table is not None else None
 
     # ------------------------------------------------------------------
     # Spilled (out-of-core) GK run state

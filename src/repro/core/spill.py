@@ -38,6 +38,7 @@ import os
 import shutil
 import tempfile
 from collections.abc import Callable, Iterable, Iterator
+from json.encoder import encode_basestring_ascii
 
 from ..config import CandidateSpec, SxnmConfig
 from ..config.model import DEFAULT_SPILL_MAX_ROWS
@@ -46,7 +47,7 @@ from ..xmlmodel import XmlDocument, XmlElement, XmlEvent, iter_events
 from ..xmlmodel.parser import DEFAULT_CHUNK_SIZE, iter_events_file
 from .candidates import CandidateHierarchy
 from .gk import GkRow
-from .keygen import _extract_row, _OpenCandidate, _plain_steps
+from .keygen import stream_rows
 from .stages import BOTTOM_UP, CandidateContext, NeighborhoodOutcome
 from .window import key_pass
 
@@ -113,19 +114,28 @@ def source_events(source, chunk_size: int = DEFAULT_CHUNK_SIZE,
 
 
 def _encode_row(row: GkRow, pool: dict[str, int]) -> str:
-    """One run-file line for ``row``, interning strings into ``pool``."""
-    def ref(value):
+    """One run-file line for ``row``, interning strings into ``pool``.
+
+    The line is the compact ASCII JSON array ``[eid, key refs, OD refs,
+    {child candidate: eids}]``, with ``-1`` for a missing OD.  Every
+    value but the child names is an integer, so it is written out
+    directly rather than through ``json.dumps``, byte for byte alike.
+    """
+    refs = []
+    for value in row.keys + row.ods:
         if value is None:
-            return -1
+            refs.append("-1")
+            continue
         index = pool.get(value)
         if index is None:
-            index = len(pool)
-            pool[value] = index
-        return index
-    entry = [row.eid, [ref(key) for key in row.keys],
-             [ref(od) for od in row.ods],
-             {name: list(eids) for name, eids in row.children.items()}]
-    return json.dumps(entry, ensure_ascii=True, separators=(",", ":"))
+            index = pool[value] = len(pool)
+        refs.append(str(index))
+    split = len(row.keys)
+    children = ",".join([
+        f"{encode_basestring_ascii(name)}:[{','.join(map(str, eids))}]"
+        for name, eids in row.children.items()])
+    return (f"[{row.eid},[{','.join(refs[:split])}],"
+            f"[{','.join(refs[split:])}],{{{children}}}]")
 
 
 class SpillStore:
@@ -271,8 +281,13 @@ class SpillStore:
             self._complain(name, "is unreadable")
             return False
 
-    def iter_run(self, name: str) -> Iterator[GkRow]:
+    def iter_run(self, name: str,
+                 memo: dict[str, str] | None = None) -> Iterator[GkRow]:
         """Lazily yield a validated run's rows in their stored order.
+
+        Within a run, equal strings are one object (the run's pool).
+        ``memo`` extends that across runs: each pool string is replaced
+        by the first equal string the memo has seen.
 
         Damage racing in *after* validation raises
         :class:`~repro.errors.DetectionError` — failing is always
@@ -286,6 +301,8 @@ class SpillStore:
                 pool_offset = int(meta["pool_offset"])
                 handle.seek(payload_start + pool_offset)
                 pool = json.loads(handle.readline().decode("ascii"))
+                if memo is not None:
+                    pool = [memo.setdefault(value, value) for value in pool]
                 handle.seek(payload_start)
                 remaining = pool_offset
                 while remaining > 0:
@@ -362,8 +379,11 @@ class SpilledGkTable:
         return list(self._eids)
 
     def __iter__(self) -> Iterator[GkRow]:
+        """Rows in document order; equal strings are one object across
+        runs, as they are in a table generated in memory."""
+        memo: dict[str, str] = {}
         for name in self.doc_runs:
-            yield from self.store.iter_run(name)
+            yield from self.store.iter_run(name, memo)
 
     def row(self, eid: int) -> GkRow:
         for row in self:
@@ -469,71 +489,14 @@ def spill_gk_streaming(events: Iterable[XmlEvent], config: SxnmConfig,
                        ) -> dict[str, SpilledGkTable]:
     """Single-pass streaming key generation that spills rows to runs.
 
-    The state machine is :func:`~repro.core.keygen.generate_gk_streaming`
-    verbatim — same eid assignment (pre-order over all start events),
-    same candidate matching on the open-tag path, same child
-    registration — with ``table.add(row)`` replaced by a spilling
-    buffer.  Peak memory is the open candidate subtree plus one
-    ``max_rows`` buffer per candidate.
+    Runs the one streaming key generator,
+    :func:`~repro.core.keygen.stream_rows`, with a spilling buffer per
+    candidate as its row sink.  Peak memory is the open candidate
+    subtree plus one ``max_rows`` buffer per candidate.
     """
-    hierarchy = hierarchy or CandidateHierarchy(config)
-    by_steps = {_plain_steps(spec): hierarchy.node(spec.name)
-                for spec in config.candidates}
-    definitions = {spec.name: spec.key_definitions()
-                   for spec in config.candidates}
     spillers = {spec.name: _CandidateSpiller(store, spec, max_rows)
                 for spec in config.candidates}
-
-    tag_stack: list[str] = []
-    open_candidates: list[_OpenCandidate] = []
-    build_stack: list[XmlElement] = []
-    last_closed: XmlElement | None = None
-    next_eid = 0
-
-    for event in events:
-        if event.kind == "start":
-            tag, attributes = event.value  # type: ignore[misc]
-            tag_stack.append(tag)
-            eid = next_eid
-            next_eid += 1
-            inside = bool(open_candidates)
-            node = by_steps.get(tuple(tag_stack))
-            if inside or node is not None:
-                element = XmlElement(tag, attributes=dict(attributes))
-                element.eid = eid
-                if build_stack:
-                    build_stack[-1].append(element)
-                build_stack.append(element)
-                if node is not None:
-                    open_candidates.append(
-                        _OpenCandidate(node, element, len(tag_stack)))
-                last_closed = None
-        elif event.kind == "text":
-            if build_stack:
-                text = str(event.value)
-                current = build_stack[-1]
-                if last_closed is not None and last_closed.parent is current:
-                    last_closed.tail = (last_closed.tail or "") + text
-                else:
-                    current.text = (current.text or "") + text
-        else:  # end
-            depth = len(tag_stack)
-            tag_stack.pop()
-            if not build_stack:
-                continue
-            closing = build_stack.pop()
-            last_closed = closing if build_stack else None
-            if open_candidates and open_candidates[-1].depth == depth \
-                    and open_candidates[-1].element is closing:
-                finished = open_candidates.pop()
-                spec = finished.node.spec
-                row = _extract_row(finished.element, spec,
-                                   definitions[spec.name])
-                row.children = finished.children
-                spillers[spec.name].add(row)
-                if open_candidates:
-                    open_candidates[-1].children.setdefault(
-                        finished.node.name, []).append(finished.element.eid)
+    stream_rows(events, hierarchy or CandidateHierarchy(config), spillers)
     return {name: spiller.finish(fan_in)
             for name, spiller in spillers.items()}
 

@@ -79,10 +79,6 @@ class CandidateContext:
     decider: PairDecider | None = None
     #: The run's execution backend; ``None`` means run in-process.
     plane: ExecutionPlane | None = None
-    #: Rows already sharing one object per distinct key/OD string —
-    #: set when the GK tables came from a DetectionIndex, letting the
-    #: shared-memory plane publish them without re-interning.
-    interned_rows: list[GkRow] | None = None
 
     def execution_plane(self) -> ExecutionPlane:
         """The backend to run this candidate on (serial when unset)."""

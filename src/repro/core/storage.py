@@ -95,10 +95,16 @@ def _int_attr(node: XmlElement, name: str) -> int:
 
 
 def gk_from_document(document: XmlDocument) -> dict[str, GkTable]:
-    """Parse GK tables back from :func:`gk_to_document` output."""
+    """Parse GK tables back from :func:`gk_to_document` output.
+
+    Equal key and OD strings come back as one object, as key generation
+    produces them.
+    """
     root = document.root
     if root.tag != "gk-tables":
         raise DetectionError(f"expected <gk-tables>, found <{root.tag}>")
+    pool: dict[str, str] = {}
+    intern = pool.setdefault
     tables: dict[str, GkTable] = {}
     for table_node in root.find_all("gk"):
         name = table_node.get("candidate")
@@ -107,15 +113,17 @@ def gk_from_document(document: XmlDocument) -> dict[str, GkTable]:
         table = GkTable(name, key_count=_int_attr(table_node, "keys"),
                         od_count=_int_attr(table_node, "ods"))
         for row_node in table_node.find_all("row"):
-            keys = [node.text or "" for node in row_node.find_all("key")]
+            keys = [intern(text, text) for text in
+                    (node.text or "" for node in row_node.find_all("key"))]
             ods: list[str | None] = []
             for od_node in row_node.find_all("od"):
                 if od_node.get("missing") == "true":
                     ods.append(None)
-                elif od_node.get("text") is not None:
-                    ods.append(od_node.get("text"))
-                else:
-                    ods.append(od_node.text or "")
+                    continue
+                text = od_node.get("text")
+                if text is None:
+                    text = od_node.text or ""
+                ods.append(intern(text, text))
             row = GkRow(_int_attr(row_node, "eid"), keys, ods)
             for children_node in row_node.find_all("children"):
                 child_name = children_node.get("candidate")

@@ -15,11 +15,13 @@ for its Key 2.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..xmlmodel import XmlElement
-from ..xpath import Path, first_value, parse_path
-from .pattern import Pattern, parse_pattern
+from ..xpath import Path, compile_path, parse_path
+from .pattern import Pattern, compile_pattern, parse_pattern
 
 
 @dataclass(frozen=True)
@@ -36,10 +38,10 @@ class KeyPart:
 
     def extract(self, element: XmlElement) -> str:
         """Extract this part's characters from ``element`` ("" if missing)."""
-        value = first_value(element, self.path)
+        value = compile_path(self.path).first(element)
         if value is None:
             return ""
-        return self.pattern.extract(value)
+        return compile_pattern(self.pattern)(value)
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,36 @@ class KeyDefinition:
 
     def generate(self, element: XmlElement) -> str:
         """Generate the (uppercased) key string for ``element``."""
-        return "".join(part.extract(element) for part in self.parts).upper()
+        return compile_key(self)(element)
+
+
+@lru_cache(maxsize=1024)
+def compile_key(definition: KeyDefinition) -> Callable[[XmlElement], str]:
+    """``definition`` as one function of the element, built once per key.
+
+    Each part's path and pattern are compiled here; the generated
+    function reads each part's first value, extracts its pattern, and
+    uppercases the joined parts.  Uppercasing comes after extraction,
+    so ``ß`` selected by ``K1`` still gives ``SS``.
+    """
+    parts = [(compile_path(part.path).first, compile_pattern(part.pattern))
+             for part in definition.parts]
+    if len(parts) == 1:
+        [(first, extract)] = parts
+
+        def generate_one(element: XmlElement) -> str:
+            value = first(element)
+            return "" if value is None else extract(value).upper()
+        return generate_one
+
+    def generate(element: XmlElement) -> str:
+        chunks = []
+        for first, extract in parts:
+            value = first(element)
+            if value is not None:
+                chunks.append(extract(value))
+        return "".join(chunks).upper()
+    return generate
 
 
 def generate_keys(element: XmlElement, definitions: list[KeyDefinition]) -> list[str]:

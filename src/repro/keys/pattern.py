@@ -26,7 +26,9 @@ keys that sort early.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..errors import PatternSyntaxError
 from ..similarity import soundex
@@ -39,23 +41,58 @@ _ITEM_RE = re.compile(
 _KNOWN_CLASSES = set("KCDVAWS")
 
 
-def _class_characters(char_class: str, text: str) -> str:
-    """Extract the ordered characters of ``char_class`` from ``text``."""
-    if char_class == "K":
-        return "".join(c for c in text if c.isalpha() and c not in _VOWELS)
-    if char_class == "C":
-        return "".join(c for c in text if not c.isspace())
-    if char_class == "D":
-        return "".join(c for c in text if c.isdigit())
-    if char_class == "V":
-        return "".join(c for c in text if c in _VOWELS)
-    if char_class == "A":
-        return "".join(c for c in text if c.isalpha())
-    if char_class == "W":
-        return "".join(word[0] for word in text.split() if word)
-    if char_class == "S":
-        return soundex(text)
-    raise PatternSyntaxError(f"unknown character class {char_class!r}")
+class _ClassTable(dict):
+    """A ``str.translate`` table that keeps one character class.
+
+    Filled lazily, one code point at a time, from the class's
+    per-character predicate: a kept character maps to itself, any other
+    to ``None`` (deleted).  Translating is therefore exact per code point
+    for any input.  The table holds at most ``limit`` code points; past
+    that, unseen ones are answered without being stored.
+    """
+
+    limit = 1 << 14
+
+    def __init__(self, keep: Callable[[str], bool]):
+        super().__init__()
+        self.keep = keep
+
+    def __missing__(self, code: int) -> str | None:
+        char = chr(code)
+        kept = char if self.keep(char) else None
+        if len(self) < self.limit:
+            self[code] = kept
+        return kept
+
+
+#: Classes that select characters one by one, extracted by translation.
+_TABLES = {
+    "K": _ClassTable(lambda c: c.isalpha() and c not in _VOWELS),
+    "C": _ClassTable(lambda c: not c.isspace()),
+    "D": _ClassTable(str.isdigit),
+    "V": _ClassTable(_VOWELS.__contains__),
+    "A": _ClassTable(str.isalpha),
+}
+
+
+def _word_initials(text: str) -> str:
+    return "".join([word[0] for word in text.split()])
+
+
+#: Classes computed from the whole text.
+_FUNCTIONS = {"W": _word_initials, "S": soundex}
+
+
+def _item_extractor(char_class: str, lo: int, hi: int) -> Callable[[str], str]:
+    """Positions ``lo``..``hi`` of ``char_class`` as a function of the text."""
+    start = lo - 1
+    table = _TABLES.get(char_class)
+    if table is not None:
+        return lambda text: text.translate(table)[start:hi]
+    whole = _FUNCTIONS.get(char_class)
+    if whole is None:
+        raise PatternSyntaxError(f"unknown character class {char_class!r}")
+    return lambda text: whole(text)[start:hi]
 
 
 @dataclass(frozen=True)
@@ -68,8 +105,7 @@ class PatternItem:
 
     def extract(self, text: str) -> str:
         """Characters this item selects from ``text`` (missing → shorter)."""
-        pool = _class_characters(self.char_class, text)
-        return pool[self.lo - 1:self.hi]
+        return _item_extractor(self.char_class, self.lo, self.hi)(text)
 
 
 @dataclass(frozen=True)
@@ -81,10 +117,33 @@ class Pattern:
 
     def extract(self, text: str) -> str:
         """Apply every item to ``text`` and concatenate the selections."""
-        return "".join(item.extract(text) for item in self.items)
+        return compile_pattern(self)(text)
 
     def __str__(self) -> str:
         return self.source
+
+
+@lru_cache(maxsize=1024)
+def compile_pattern(pattern: Pattern) -> Callable[[str], str]:
+    """``pattern`` as one function of the text, built once per pattern.
+
+    Each item's class extractor and slice bounds are bound here, so
+    applying the pattern is one translation (or word/Soundex pass) and
+    one slice per item.  Adjacent items of one class that continue each
+    other (``D3,D4``) become one slice: the joined slices are the same
+    characters.
+    """
+    spans: list[list] = []
+    for item in pattern.items:
+        if spans and spans[-1][0] == item.char_class \
+                and spans[-1][2] + 1 == item.lo:
+            spans[-1][2] = item.hi
+        else:
+            spans.append([item.char_class, item.lo, item.hi])
+    extractors = [_item_extractor(*span) for span in spans]
+    if len(extractors) == 1:
+        return extractors[0]
+    return lambda text: "".join([extract(text) for extract in extractors])
 
 
 def parse_pattern(source: str) -> Pattern:

@@ -9,21 +9,36 @@ several keys and unions the pairs before transitive closure.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ..clustering import transitive_closure
 from ..core.execution import SerialPlane
-from ..keys import parse_pattern
+from ..keys import compile_pattern, parse_pattern
 from .matchers import Matcher
 from .record import Record, Relation
 
 
 @dataclass(frozen=True)
 class RelationalKeyPart:
-    """One key component: a field name and an extraction pattern."""
+    """One key component: a field name and an extraction pattern.
+
+    The pattern is parsed and compiled on construction, so a malformed
+    one raises :class:`~repro.errors.PatternSyntaxError` here rather
+    than at the first record.
+    """
 
     field: str
     pattern: str
+    extract: Callable[[str], str] = field(init=False, repr=False,
+                                          compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "extract",
+                           compile_pattern(parse_pattern(self.pattern)))
+
+    def __reduce__(self):
+        return RelationalKeyPart, (self.field, self.pattern)
 
 
 @dataclass(frozen=True)
@@ -42,10 +57,8 @@ class RelationalKey:
 
     def generate(self, record: Record) -> str:
         """Uppercased key string for ``record`` (missing fields skipped)."""
-        chunks = []
-        for part in self.parts:
-            chunks.append(parse_pattern(part.pattern).extract(record.get(part.field)))
-        return "".join(chunks).upper()
+        return "".join([part.extract(record.get(part.field))
+                        for part in self.parts]).upper()
 
 
 @dataclass

@@ -214,14 +214,18 @@ class XmlDocument:
         self._eids_assigned = True
         return count
 
+    def ensure_eids(self) -> None:
+        """Assign eids unless a numbering pass has already run."""
+        if not self._eids_assigned:
+            self.assign_eids()
+
     def element_count(self) -> int:
         """Total number of elements in the document."""
         return sum(1 for _ in self.root.iter())
 
     def elements_by_eid(self) -> dict[int, XmlElement]:
         """Mapping of eid to element (assigns eids if not yet assigned)."""
-        if not self._eids_assigned:
-            self.assign_eids()
+        self.ensure_eids()
         return {node.eid: node for node in self.root.iter()}
 
     def iter(self) -> Iterator[XmlElement]:

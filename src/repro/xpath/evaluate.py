@@ -1,6 +1,11 @@
 """Evaluation of parsed paths against :mod:`repro.xmlmodel` trees.
 
-Three views of a result are offered:
+A path is compiled once (:func:`compile_path`, cached per
+:class:`~repro.xpath.ast.Path` the way :func:`~repro.xpath.parse_path`
+caches per expression) into functions of the context element.  Plain
+child steps and ``[n]`` positions become direct loops over ``children``;
+wildcard, ``//`` and attribute-predicate steps select through
+:func:`_step_candidates`.  Every view below runs that compiled form:
 
 * :func:`select_elements` — the element nodes a path's navigation steps
   reach (value steps must be absent).
@@ -18,10 +23,19 @@ the document root via :func:`resolve_absolute`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import lru_cache
+from operator import attrgetter
+
 from ..errors import PathEvaluationError
 from ..xmlmodel import XmlDocument, XmlElement
 from .ast import AttributeStep, ChildStep, Path, TextStep
 from .parser import parse_path
+
+#: A compiled navigation: context element -> elements reached.
+Navigate = Callable[[XmlElement], list[XmlElement]]
+#: The value one reached element contributes (``None``: nothing).
+Value = Callable[[XmlElement], str | None]
 
 
 def _coerce(path: Path | str) -> Path:
@@ -51,16 +65,123 @@ def _step_candidates(node: XmlElement, step: ChildStep) -> list[XmlElement]:
     return matches
 
 
-def _navigate(context: XmlElement, steps: tuple[ChildStep, ...]) -> list[XmlElement]:
-    frontier = [context]
-    for step in steps:
-        next_frontier: list[XmlElement] = []
-        for node in frontier:
-            next_frontier.extend(_step_candidates(node, step))
-        frontier = next_frontier
-        if not frontier:
-            break
-    return frontier
+def _is_plain(step: ChildStep) -> bool:
+    return not (step.descendant or step.attribute is not None
+                or step.name == "*")
+
+
+def _compile_step(step: ChildStep) -> Navigate:
+    """One navigation step as a function of the context element."""
+    if not _is_plain(step):
+        return lambda node: _step_candidates(node, step)
+    name, position = step.name, step.position
+    if position is None:
+        return lambda node: [child for child in node.children
+                             if child.tag == name]
+
+    def nth(node: XmlElement) -> list[XmlElement]:
+        remaining = position
+        for child in node.children:
+            if child.tag == name:
+                remaining -= 1
+                if not remaining:
+                    return [child]
+        return []
+    return nth
+
+
+def _navigator(steps: tuple[ChildStep, ...]) -> Navigate:
+    """The element steps compiled into one navigation function.
+
+    Hits come in document order per context, contexts in frontier
+    order: the order the step-by-step frontier walk has always had.
+    """
+    compiled = [_compile_step(step) for step in steps]
+    if not compiled:
+        return lambda node: [node]
+    if len(compiled) == 1:
+        return compiled[0]
+
+    def navigate(node: XmlElement) -> list[XmlElement]:
+        frontier = [node]
+        for step in compiled:
+            frontier = [hit for context in frontier for hit in step(context)]
+            if not frontier:
+                break
+        return frontier
+    return navigate
+
+
+def _attribute(name: str) -> Value:
+    return lambda element: element.attributes.get(name)
+
+
+def _first_child_value(step: ChildStep, value: Value) -> Value:
+    """``first`` for one plain child step: a direct loop over children."""
+    name, position = step.name, step.position
+    if position is None:
+        def first(context: XmlElement) -> str | None:
+            for child in context.children:
+                if child.tag == name:
+                    found = value(child)
+                    if found is not None:
+                        return found
+            return None
+        return first
+
+    def first_nth(context: XmlElement) -> str | None:
+        remaining = position
+        for child in context.children:
+            if child.tag == name:
+                remaining -= 1
+                if not remaining:
+                    return value(child)
+        return None
+    return first_nth
+
+
+class CompiledPath:
+    """A path compiled into functions of the context element.
+
+    ``elements`` returns the elements the navigation steps reach,
+    ``values`` the string values :func:`select_values` documents, and
+    ``first`` the first of those values or ``None``.
+    """
+
+    __slots__ = ("elements", "values", "first")
+
+    def __init__(self, path: Path):
+        steps = path.element_steps
+        last = path.steps[-1]
+        value: Value
+        if isinstance(last, TextStep):
+            value = attrgetter("text")
+        elif isinstance(last, AttributeStep):
+            value = _attribute(last.name)
+        else:
+            value = XmlElement.text_content
+        elements = self.elements = _navigator(steps)
+        self.values = lambda context: [
+            found for hit in elements(context)
+            if (found := value(hit)) is not None]
+        if not steps:
+            self.first = value
+        elif len(steps) == 1 and _is_plain(steps[0]):
+            self.first = _first_child_value(steps[0], value)
+        else:
+            def first(context: XmlElement) -> str | None:
+                for hit in elements(context):
+                    found = value(hit)
+                    if found is not None:
+                        return found
+                return None
+            self.first = first
+
+
+@lru_cache(maxsize=4096)
+def compile_path(path: Path) -> CompiledPath:
+    """The compiled form of ``path``, built once per distinct path."""
+    return CompiledPath(path)
 
 
 def select_elements(context: XmlElement | XmlDocument, path: Path | str) -> list[XmlElement]:
@@ -74,11 +195,10 @@ def select_elements(context: XmlElement | XmlDocument, path: Path | str) -> list
     if parsed.is_value_path:
         raise PathEvaluationError(
             f"select_elements cannot evaluate value path {parsed}")
-    steps = parsed.element_steps
     node = context.root if isinstance(context, XmlDocument) else context
     if parsed.absolute or isinstance(context, XmlDocument):
         return resolve_absolute(node, parsed)
-    return _navigate(node, steps)
+    return compile_path(parsed).elements(node)
 
 
 def resolve_absolute(root: XmlElement, path: Path | str) -> list[XmlElement]:
@@ -106,10 +226,8 @@ def resolve_absolute(root: XmlElement, path: Path | str) -> list[XmlElement]:
         if first.position not in (None, 1):
             return []
         starts = [root]
-    results: list[XmlElement] = []
-    for start in starts:
-        results.extend(_navigate(start, tuple(rest)))
-    return results
+    navigate = _navigator(rest)
+    return [hit for start in starts for hit in navigate(start)]
 
 
 def select_values(context: XmlElement, path: Path | str) -> list[str]:
@@ -121,31 +239,9 @@ def select_values(context: XmlElement, path: Path | str) -> list[str]:
     * plain element path → concatenated text content of each hit.
     * ``@attr`` alone → the context element's attribute.
     """
-    parsed = _coerce(path)
-    steps = parsed.element_steps
-    last = parsed.steps[-1]
-    hits = _navigate(context, steps)
-    if isinstance(last, TextStep):
-        values = []
-        for hit in hits:
-            if hit.text is not None:
-                values.append(hit.text)
-        return values
-    if isinstance(last, AttributeStep):
-        if steps:
-            owners = hits
-        else:
-            owners = [context]
-        values = []
-        for owner in owners:
-            value = owner.get(last.name)
-            if value is not None:
-                values.append(value)
-        return values
-    return [hit.text_content() for hit in hits]
+    return compile_path(_coerce(path)).values(context)
 
 
 def first_value(context: XmlElement, path: Path | str) -> str | None:
     """First string value of ``path`` at ``context``, or ``None`` if empty."""
-    values = select_values(context, path)
-    return values[0] if values else None
+    return compile_path(_coerce(path)).first(context)

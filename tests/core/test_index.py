@@ -114,19 +114,43 @@ class TestGkRoundTrip:
         rows = list(reopened.load_gk()["movie"])
         assert rows[0].keys[0] is rows[1].keys[0]
         assert rows[0].ods[0] is rows[1].ods[0]
-        interned = reopened.interned_rows("movie")
-        assert interned is not None
-        assert interned[0] is rows[0]
 
-    def test_interned_rows_only_after_disk_load(self, tmp_path):
+    def test_published_payload_shares_one_object_per_string(self, tmp_path):
+        # The shared-memory plane pickles list(table) as it stands; the
+        # pickle memo is identity-based, so the segment carries one copy
+        # of each distinct string only if the rows already share them.
+        # Fresh, index-loaded, GK-file-loaded and spilled tables must all
+        # arrive so.
+        from repro.core import (SpillStore, generate_gk, load_gk, save_gk,
+                                spill_gk_streaming)
+        from repro.core.execution import build_segment_payload
+        from repro.core.spill import document_events
+        from repro.datagen import generate_dirty_movies
+
+        config = dataset1_config()
+        document = generate_dirty_movies(40, seed=7, profile="effectiveness")
+        fresh = generate_gk(document, config)
         index = open_index(tmp_path)
-        index.save_gk(make_tables())
-        # save_gk resets the decoded cache: rows built in this process
-        # were never pooled, so they are not advertised as interned.
-        assert index.interned_rows("movie") is None
-        index.load_gk()
-        assert index.interned_rows("movie") is not None
-        assert index.interned_rows("no-such-candidate") is None
+        index.save_gk(fresh)
+        loaded = DetectionIndex(index.directory).open().load_gk()
+        save_gk(fresh, str(tmp_path / "gk.xml"))
+        from_file = load_gk(str(tmp_path / "gk.xml"))
+        spilled = spill_gk_streaming(
+            document_events(document), config, None,
+            SpillStore(str(tmp_path / "spill")), max_rows=7)
+        assert all(len(table.doc_runs) > 1 for table in spilled.values())
+        for tables in (fresh, loaded, from_file, spilled):
+            for name, table in tables.items():
+                payload = build_segment_payload(
+                    table, list(range(table.key_count)), b"")
+                assert len(payload["rows"]) == len(fresh[name])
+                objects: dict[str, set[int]] = {}
+                for row in payload["rows"]:
+                    for value in row.keys + row.ods:
+                        if value is not None:
+                            objects.setdefault(value, set()).add(id(value))
+                shared = sum(len(ids) for ids in objects.values())
+                assert shared == len(objects), name
 
 
 class TestRunState:

@@ -10,6 +10,7 @@ differential battery over whole detections lives in
 ``test_engine_equivalence.py``.
 """
 
+import json
 import os
 
 import pytest
@@ -69,6 +70,26 @@ class TestRunFiles:
         assert len(loaded) == 3
         for original, again in zip(rows, loaded):
             assert rows_equal(original, again)
+
+    def test_lines_are_compact_ascii_json(self):
+        # Run names hash these bytes, so the hand-written line must be
+        # exactly the compact ASCII JSON of the row's references.
+        from repro.core.spill import _encode_row
+        rows = self.sample_rows() + [
+            GkRow(12, ["SM99", "é\"x"], ["Zoë", None], {"pérson": [13]})]
+        mine: dict[str, int] = {}
+        theirs: dict[str, int] = {}
+
+        def ref(value):
+            return -1 if value is None else theirs.setdefault(
+                value, len(theirs))
+        for row in rows:
+            expected = json.dumps(
+                [row.eid, [ref(key) for key in row.keys],
+                 [ref(od) for od in row.ods], row.children],
+                ensure_ascii=True, separators=(",", ":"))
+            assert _encode_row(row, mine) == expected
+        assert mine == theirs
 
     def test_content_addressed_names_dedupe(self, tmp_path):
         store = SpillStore(str(tmp_path))

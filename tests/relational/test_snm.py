@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import PatternSyntaxError
 from repro.relational import (FieldRule, Relation, RelationalKey,
                               WeightedFieldMatcher, sorted_neighborhood)
 
@@ -43,6 +44,21 @@ class TestRelationalKey:
     def test_create_requires_parts(self):
         with pytest.raises(ValueError):
             RelationalKey.create([])
+
+    def test_create_rejects_malformed_pattern(self):
+        with pytest.raises(PatternSyntaxError):
+            RelationalKey.create([("name", "Q1")])
+
+    def test_golden_corpus_keys_match_per_character_extraction(self):
+        from tests.core.reference_keygen import extract_pattern
+        from tests.relational.test_golden import dirty_relation
+        parts = [("name", "K1-K3,V1"), ("address", "C1-C4,D1,D2"),
+                 ("year", "D3,D4"), ("name", "W1-2,S2-4,A5")]
+        key = RelationalKey.create(parts)
+        for record in dirty_relation():
+            assert key.generate(record) == "".join(
+                extract_pattern(pattern, record.get(field))
+                for field, pattern in parts).upper()
 
 
 class TestRelation:

@@ -15,42 +15,8 @@ from hypothesis import strategies as st
 
 from repro.errors import XmlParseError
 from repro.xmlmodel import is_xml_name, iter_events, iter_events_stream
+from tests.strategies import FRAGMENTS, PITFALLS
 from tests.xmlmodel.reference_parser import _is_name_char, reference_events
-
-#: Markup, references and the name-class edge cases: ``é`` is a letter,
-#: ``²`` and ``½`` are alphanumeric but not letters, ``1`` cannot start a
-#: name, ``\xa0`` and ``\x0c`` are whitespace to ``str.strip`` but not
-#: to XML, and ``\x0c``, ``\x01``, a lone surrogate and U+FFFE are not
-#: XML 1.0 ``Char`` at all.
-FRAGMENTS = [
-    "<", ">", "/", "=", "\"", "'", "&", ";", "#", "x", "!", "?", "[", "]",
-    "-", ".", ":", "_", " ", "\n", "\t", "\r", "\xa0", "\x0c",
-    "a", "b", "é", "²", "½", "1", "text",
-    "<a", "/>", "='v'", "<a>", "</a>", "<b>", "</b>", "<a/>", "<é>", "</é>",
-    "<1a>", "<²>",
-    "<a x='1'>", '<b y="&amp;">', " x='1'", ' y="2"', " z='&lt;'",
-    "&amp;", "&lt;", "&gt;", "&quot;", "&apos;", "&bogus;",
-    "&#65;", "&#x41;", "&#X41;", "&#0;", "&#xD800;", "&#6_5;", "&#x110000;",
-    "<!--", "-->", "<!-- c -->", "<![CDATA[", "]]>", "<![CDATA[<&>]]>",
-    "<?", "?>", "<?pi data?>", "<?xml version='1.0'?>",
-    "<!DOCTYPE", "<!DOCTYPE r>", "<!DOCTYPE r [<!ELEMENT r (#PCDATA)>]>",
-    "\x01", "\ud800", "\ufffe", " a='\x01'",
-]
-
-#: The pitfalls of a regex tokenizer, always run: ``\s`` where XML
-#: whitespace is meant, a start-tag name that gives characters to an
-#: attribute, names starting with ``\w`` characters that are not letters,
-#: and raw code points outside XML 1.0 ``Char`` in every construct that
-#: holds text.
-PITFALLS = [
-    "<a\xa0/>", "<r><a\x0c>t</a></r>", "<r></r\xa0>", "<a x='1'\xa0/>",
-    "<ab='1'/>", "<a x='1'y='2'/>", "<a 1x='1'/>", "<a ²='1'/>", "<½/>",
-    "<a>&#X41;</a>", "\xa0<a/>", "<a/>\xa0", "\x0c<!DOCTYPE a><a/>",
-    "<a>x\ud800y</a>", "<a>x\x01y</a>", "<a b=\"\x02\"/>",
-    "<a>&bogus;\x01</a>", "<a><!-- \x01 --></a>", "<a><?p \ud800?></a>",
-    "<a><![CDATA[\uffff]]></a>", "x\x01<a/>", "<a/>\x01",
-    "<a/><!--\x01-->", "<a b='1' c='\ud800",
-]
 
 fragments = st.lists(st.sampled_from(FRAGMENTS), max_size=16).map("".join)
 near_xml = st.one_of(
