@@ -234,9 +234,8 @@ class DetectionEngine:
         if index is not None and index.usable and not tables_from_index \
                 and not tables_from_spill:
             if tables_spilled:
-                index.save_spill({name: table.state()
-                                  for name, table in tables.items()
-                                  if getattr(table, "spilled", False)})
+                from .spill import save_spilled
+                save_spilled(index, tables)
             else:
                 index.save_gk(tables)
         result = SxnmResult(gk=tables)

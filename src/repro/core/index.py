@@ -1,11 +1,8 @@
 """The DetectionIndex: one persistent, versioned home for run state.
 
-Historically the per-run detection state was scattered: GK/CS tables as
-ad-hoc XML (:mod:`repro.core.storage`), the incremental session's sorted
-key lists and union-find forest purely in memory, and only the φ spill
-store (:mod:`repro.similarity.store`) with checksummed, atomic,
-fault-tolerant persistence.  :class:`DetectionIndex` unifies them: a
-directory holding
+:class:`DetectionIndex` keeps what a run resumes from — GK tables,
+spilled-run state, per-candidate results and the incremental session —
+in one directory holding
 
 * ``MANIFEST.json`` — the run manifest: format magic and version, the
   *config fingerprint* (a digest of every result-affecting parameter),
@@ -13,14 +10,14 @@ directory holding
   (window override, key selection, and the detector's result-affecting
   settings outside the config), per-phase counters, the set of
   candidates whose detection state is committed, the role → segment
-  mapping, and the incremental session's delta chain.  Rewritten
-  atomically (tempfile + ``os.replace``) after every commit, so a
-  killed process always leaves a manifest that references only fully
-  written segments.
-* content-addressed *segment files* (``segment-<checksum16>.xidx``) —
-  one per role (``gk``, ``run/<candidate>``, ``session``), plus one per
-  link of the session's delta chain (``session-delta``), each carrying
-  a version header, its payload length, a SHA-256 checksum, and the
+  mapping, and the incremental session's delta chain.  Replaced
+  atomically once per commit, after the commit's segment, so a killed
+  process always leaves a manifest that references only fully written
+  segments.
+* *segment files* of the shared codec (:mod:`repro.segments`:
+  ``segment-<checksum16>.xidx``) — one per role (``gk``, ``spill``,
+  ``run/<candidate>``, ``session``), plus one per link of the session's
+  delta chain (``session-delta``), each recording its role and the
   config fingerprint it was recorded under.  GK rows are stored with an
   **interned string pool**: every distinct key/OD string appears once
   and rows reference it by position, so loading yields rows whose equal
@@ -36,16 +33,15 @@ replaces base and chain.  Bytes written per commit are therefore
 amortized O(delta), and a restore reads at most about two snapshots'
 worth.
 
-The fault discipline mirrors ``similarity/store.py`` exactly: **fail
-cold, never wrong**.  Truncated, corrupted, alien-version, or
-stale-fingerprint segments (and unreadable or corrupt manifests) warn
-once each through the observer callback and contribute nothing; a
-damaged index degrades to a cold start, it never resumes wrong state.
-A damaged link anywhere in the session chain drops the whole session:
-a prefix of the chain is never restored.
+Fault discipline: **fail cold, never wrong**.  Segments the codec
+refuses, segments of another role or config fingerprint, and unreadable
+or corrupt manifests warn once each through the observer callback and
+contribute nothing; a damaged index degrades to a cold start, it never
+resumes wrong state.  A damaged link anywhere in the session chain
+drops the whole session: a prefix of the chain is never restored.
 
 Determinism: committed candidate state is ``(pairs, comparisons,
-filtered, timings, stats)``.  Clusters are *not* stored —
+filtered, stats)``.  Clusters are *not* stored —
 :class:`~repro.core.clusters.ClusterSet` canonicalizes its order, so
 rebuilding the closure from the persisted pairs over the persisted GK
 universe reproduces clusters (and the cluster ids feeding descendant
@@ -57,9 +53,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from collections.abc import Callable
 
+from ..segments import SegmentError, SegmentFormat, replace_file
 from .gk import GkRow, GkTable
 
 #: First line of every segment file: format magic plus version.
@@ -67,6 +63,8 @@ INDEX_MAGIC = "sxnm-index"
 INDEX_VERSION = 1
 SEGMENT_SUFFIX = ".xidx"
 MANIFEST_NAME = "MANIFEST.json"
+INDEX_SEGMENTS = SegmentFormat(INDEX_MAGIC, INDEX_VERSION, "segment",
+                               SEGMENT_SUFFIX)
 #: Role of every link after the base snapshot in the session chain.
 SESSION_DELTA_ROLE = "session-delta"
 
@@ -368,20 +366,8 @@ class DetectionIndex:
             return False
         blob = json.dumps(self.manifest, sort_keys=True, indent=1)
         try:
-            fd, temp_path = tempfile.mkstemp(dir=self.directory,
-                                             prefix=".manifest-",
-                                             suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(blob)
-                os.replace(temp_path,
-                           os.path.join(self.directory, MANIFEST_NAME))
-            except OSError:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
+            replace_file(os.path.join(self.directory, MANIFEST_NAME),
+                         blob.encode("utf-8"))
         except OSError as error:
             self._emit(f"detection index: cannot write manifest in "
                        f"{self.directory!r} ({error}); state stays in "
@@ -480,42 +466,16 @@ class DetectionIndex:
     # ------------------------------------------------------------------
     # Segments
 
-    def _segment_path(self, name: str) -> str:
-        return os.path.join(self.directory, os.path.basename(name))
-
     def _write_segment(self, role: str,
                        payload_obj) -> tuple[str, int] | None:
-        """Write one role's payload as an atomic segment.
-
-        Returns the segment's name and payload bytes.
-        """
+        """Write one role's payload; returns the name and payload bytes."""
         if self.read_only or not self.usable:
             return None
         payload = json.dumps(payload_obj, ensure_ascii=True,
                              sort_keys=True).encode("utf-8")
-        checksum = hashlib.sha256(payload).hexdigest()
-        meta = json.dumps({
-            "role": role,
-            "payload_bytes": len(payload),
-            "sha256": checksum,
-            "config_fingerprint": self.manifest.get("config_fingerprint"),
-        }, sort_keys=True)
-        blob = (f"{INDEX_MAGIC} v{INDEX_VERSION}\n{meta}\n"
-                .encode("utf-8") + payload)
-        name = f"segment-{checksum[:16]}{SEGMENT_SUFFIX}"
         try:
-            fd, temp_path = tempfile.mkstemp(dir=self.directory,
-                                             prefix=".xidx-", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(temp_path, self._segment_path(name))
-            except OSError:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
+            name = INDEX_SEGMENTS.write(self.directory, payload, {
+                "role": role, "config_fingerprint": self.fingerprint})
         except OSError as error:
             self._emit(f"detection index: cannot write to "
                        f"{self.directory!r} ({error}); {role!r} state "
@@ -548,68 +508,44 @@ class DetectionIndex:
         Returns the decoded payload and its byte count; every fault
         warns once and returns ``None``.
         """
-        path = self._segment_path(name)
         try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError as error:
-            self._emit(f"detection index: cannot read segment {name} "
-                       f"({error}); ignoring it")
-            return None
-        header, _, rest = raw.partition(b"\n")
-        if header.decode("utf-8", "replace").split() \
-                != [INDEX_MAGIC, f"v{INDEX_VERSION}"]:
-            self._emit(f"detection index: segment {name} has an "
-                       f"unrecognized header (not a v{INDEX_VERSION} "
-                       f"{INDEX_MAGIC} file); ignoring it")
-            return None
-        meta_line, _, payload = rest.partition(b"\n")
-        try:
-            meta = json.loads(meta_line.decode("utf-8"))
-            payload_bytes = int(meta["payload_bytes"])
-            checksum = str(meta["sha256"])
-            recorded_role = str(meta["role"])
-            recorded_fingerprint = meta["config_fingerprint"]
-        except (ValueError, KeyError, TypeError) as error:
-            self._emit(f"detection index: segment {name} has a corrupt "
-                       f"metadata line ({error}); ignoring it")
-            return None
-        if len(payload) != payload_bytes:
-            self._emit(f"detection index: segment {name} is truncated "
-                       f"({len(payload)} of {payload_bytes} payload "
-                       f"bytes); ignoring it")
-            return None
-        if hashlib.sha256(payload).hexdigest() != checksum:
-            self._emit(f"detection index: segment {name} fails its "
-                       f"checksum; ignoring it")
-            return None
-        if recorded_role != role:
-            self._emit(f"detection index: segment {name} holds "
-                       f"{recorded_role!r} state, not {role!r}; "
+            meta, payload = INDEX_SEGMENTS.read(
+                os.path.join(self.directory, os.path.basename(name)))
+            if meta.get("role") != role:
+                raise SegmentError(f"holds {meta.get('role')!r} state, "
+                                   f"not {role!r}")
+            if meta.get("config_fingerprint", "") != self.fingerprint:
+                raise SegmentError("was recorded under a different "
+                                   "configuration fingerprint")
+            try:
+                payload_obj = json.loads(payload.decode("utf-8"))
+            except ValueError:  # unreachable behind the checksum
+                raise SegmentError("payload does not parse") from None
+        except SegmentError as error:
+            self._emit(f"detection index: segment {name} {error}; "
                        f"ignoring it")
-            return None
-        if recorded_fingerprint != self.manifest.get("config_fingerprint"):
-            self._emit(f"detection index: segment {name} was recorded "
-                       f"under a different configuration fingerprint; "
-                       f"ignoring it")
-            return None
-        try:
-            payload_obj = json.loads(payload.decode("utf-8"))
-        except ValueError:  # unreachable behind the checksum; stay safe
-            self._emit(f"detection index: segment {name} payload does "
-                       f"not parse; ignoring it")
             return None
         self.segments_loaded += 1
-        return payload_obj, payload_bytes
+        return payload_obj, len(payload)
 
-    def _commit(self, role: str, payload_obj) -> bool:
-        """Write the segment, repoint the manifest, publish both."""
+    def _commit(self, role: str, payload_obj,
+                counters: dict[str, int] | None = None) -> bool:
+        """Write the segment, then publish it in one manifest write.
+
+        That write also bumps ``counters`` and, for a ``run/<name>``
+        segment, lists ``name`` as completed.
+        """
         written = self._write_segment(role, payload_obj)
         if written is None:
             return False
         self.manifest.setdefault("segments", {})[role] = written[0]
         self._payloads[role] = payload_obj
         self._failed.discard(role)
+        if role.startswith("run/") \
+                and role[4:] not in self.manifest["completed"]:
+            self.manifest["completed"].append(role[4:])
+        for counter, delta in (counters or {}).items():
+            self.bump(counter, delta)
         return self._flush_manifest()
 
     # ------------------------------------------------------------------
@@ -617,11 +553,8 @@ class DetectionIndex:
 
     def save_gk(self, tables: dict[str, GkTable]) -> bool:
         """Persist the run's GK tables (one pooled segment)."""
-        committed = self._commit("gk", _encode_tables(tables))
-        if committed:
-            self.bump("gk_rows",
-                      sum(len(table) for table in tables.values()))
-            self._flush_manifest()
+        committed = self._commit("gk", _encode_tables(tables), {
+            "gk_rows": sum(len(table) for table in tables.values())})
         self._tables = None
         return committed
 
@@ -650,25 +583,12 @@ class DetectionIndex:
 
         ``state`` maps candidate name to the
         :meth:`~repro.core.spill.SpilledGkTable.state` manifest entry;
-        the run files themselves live under ``<directory>/spill`` and
-        carry their own checksums.  Run files no longer referenced by
-        the new state are deleted best-effort, mirroring ``compact``.
+        the run files themselves are the spill store's, which verifies
+        them on restore and deletes the ones this state no longer names.
         """
-        committed = self._commit("spill", state)
-        if committed:
-            self.bump("spill_rows",
-                      sum(entry.get("rows", 0) for entry in state.values()))
-            self._flush_manifest()
-            referenced = set()
-            for entry in state.values():
-                referenced.update(entry.get("doc", []))
-                for names in entry.get("keys", []):
-                    referenced.update(names)
-            spill_dir = os.path.join(self.directory, "spill")
-            if os.path.isdir(spill_dir):
-                from .spill import SpillStore
-                SpillStore(spill_dir).remove_unreferenced(referenced)
-        return committed
+        return self._commit("spill", state, {
+            "spill_rows": sum(entry.get("rows", 0)
+                              for entry in state.values())})
 
     def load_spill(self) -> dict | None:
         """The persisted spill state, if its segment is readable.
@@ -699,16 +619,10 @@ class DetectionIndex:
             "filtered": filtered,
             "stats": stats,
         }
-        committed = self._commit(f"run/{name}", payload)
-        if committed:
-            completed = self.manifest.setdefault("completed", [])
-            if name not in completed:
-                completed.append(name)
-            self.bump("candidates_committed")
-            self.bump("window_comparisons", comparisons)
-            self.bump("pairs_confirmed", len(payload["pairs"]))
-            self._flush_manifest()
-        return committed
+        return self._commit(f"run/{name}", payload, {
+            "candidates_committed": 1,
+            "window_comparisons": comparisons,
+            "pairs_confirmed": len(payload["pairs"])})
 
     def load_candidate(self, name: str) -> dict | None:
         """The committed state for ``name`` (decoded), if readable."""
@@ -882,21 +796,14 @@ class DetectionIndex:
         """
         if self.read_only or not self.usable:
             return 0
-        referenced = self._referenced()
-        removed = 0
         try:
-            names = os.listdir(self.directory)
+            removed, failed = INDEX_SEGMENTS.remove_orphans(
+                self.directory, self._referenced())
         except OSError as error:
             self._emit(f"detection index: cannot list {self.directory!r} "
                        f"({error}); nothing compacted")
             return 0
-        for name in names:
-            if not name.endswith(SEGMENT_SUFFIX) or name in referenced:
-                continue
-            try:
-                os.unlink(self._segment_path(name))
-                removed += 1
-            except OSError as error:
-                self._emit(f"detection index: compaction could not remove "
-                           f"{name} ({error}); leaving it")
+        for name, error in failed:
+            self._emit(f"detection index: compaction could not remove "
+                       f"{name} ({error}); leaving it")
         return removed

@@ -20,22 +20,19 @@ Provable equivalence is the design constraint, not an afterthought:
   first, then the representatives) — the same loops an in-memory pass
   runs over the sorted list.
 
-Run files reuse the index's durability discipline: a magic header, a
-JSON meta line carrying a SHA-256 over the payload, atomic
-write-to-temp-then-rename, and warn-once fail-cold reads — a damaged
-run is never trusted, the engine regenerates from source instead.
-Within a run, repeated key/OD strings are interned into a per-run
-string pool (the DAG-compression idea applied at spill time), so a
-million identical ``"smith"`` values cost one pool record.
+Run files are segments of the shared codec (:mod:`repro.segments`),
+written as a stream, and read warn-once and fail-cold — a damaged run
+is never trusted, the engine regenerates from source instead.  Within a
+run, repeated key/OD strings are interned into a per-run string pool
+(the DAG-compression idea applied at spill time), so a million
+identical ``"smith"`` values cost one pool record.
 """
 
 from __future__ import annotations
 
 import heapq
-import hashlib
 import json
 import os
-import shutil
 import tempfile
 from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii
@@ -43,6 +40,7 @@ from json.encoder import encode_basestring_ascii
 from ..config import CandidateSpec, SxnmConfig
 from ..config.model import DEFAULT_SPILL_MAX_ROWS
 from ..errors import DetectionError
+from ..segments import SegmentError, SegmentFormat
 from ..xmlmodel import XmlDocument, XmlElement, XmlEvent, iter_events
 from ..xmlmodel.parser import DEFAULT_CHUNK_SIZE, iter_events_file
 from .candidates import CandidateHierarchy
@@ -54,6 +52,7 @@ from .window import key_pass
 SPILL_MAGIC = "sxnm-spill"
 SPILL_VERSION = 1
 RUN_SUFFIX = ".xrun"
+RUN_SEGMENTS = SegmentFormat(SPILL_MAGIC, SPILL_VERSION, "run", RUN_SUFFIX)
 
 #: Maximum runs merged at once.  More runs than this are first reduced
 #: into intermediate runs, bounding merge memory (each open run holds
@@ -139,13 +138,11 @@ def _encode_row(row: GkRow, pool: dict[str, int]) -> str:
 
 
 class SpillStore:
-    """A directory of checksummed GK run files.
+    """A directory of GK run files (``run-<sha16>.xrun`` segments).
 
-    Writes are atomic (temp file + ``os.replace``) and content-addressed
-    (``run-<sha16>.xrun``).  Reads follow the index's fail-cold
-    discipline: a run that is unreadable, truncated, mis-checksummed, or
-    alien is reported once via ``warn`` and treated as absent — callers
-    regenerate from source rather than trust damaged rows.
+    A run the codec refuses, or one of another role, is reported once
+    via ``warn`` and treated as absent — callers regenerate from source
+    rather than trust damaged rows.
 
     The payload is row lines first, string pool last (``pool_offset`` in
     the meta line marks the boundary), so a run can be *written* in one
@@ -161,14 +158,6 @@ class SpillStore:
     def path(self, name: str) -> str:
         return os.path.join(self.directory, name)
 
-    def _complain(self, name: str, problem: str) -> None:
-        if name in self._warned:
-            return
-        self._warned.add(name)
-        if self.warn is not None:
-            self.warn(f"spill run {name!r} {problem}; "
-                      f"regenerating keys from source")
-
     # -- writing ------------------------------------------------------
 
     def write_run(self, role: str, rows: Iterable[GkRow]) -> tuple[str, int]:
@@ -179,107 +168,52 @@ class SpillStore:
         :class:`~repro.errors.DetectionError` — out-of-core mode cannot
         fall back to RAM without breaking its memory contract.
         """
-        payload_path = final_path = None
+        meta = {"role": role}
+
+        def lines() -> Iterator[bytes]:
+            pool: dict[str, int] = {}
+            size = count = 0
+            for row in rows:
+                line = (_encode_row(row, pool) + "\n").encode("ascii")
+                size += len(line)
+                count += 1
+                yield line
+            meta.update(pool_offset=size, rows=count)
+            yield (json.dumps(list(pool), ensure_ascii=True)
+                   + "\n").encode("ascii")
+
         try:
             os.makedirs(self.directory, exist_ok=True)
-            digest = hashlib.sha256()
-            pool: dict[str, int] = {}
-            count = 0
-            fd, payload_path = tempfile.mkstemp(
-                dir=self.directory, prefix=".spill-", suffix=".tmp")
-            with os.fdopen(fd, "wb") as handle:
-                for row in rows:
-                    line = (_encode_row(row, pool) + "\n").encode("ascii")
-                    digest.update(line)
-                    handle.write(line)
-                    count += 1
-                pool_offset = handle.tell()
-                pool_line = (json.dumps(list(pool), ensure_ascii=True)
-                             + "\n").encode("ascii")
-                digest.update(pool_line)
-                handle.write(pool_line)
-                payload_bytes = handle.tell()
-            checksum = digest.hexdigest()
-            name = f"run-{checksum[:16]}{RUN_SUFFIX}"
-            meta = {"payload_bytes": payload_bytes, "pool_offset": pool_offset,
-                    "role": role, "rows": count, "sha256": checksum}
-            fd, final_path = tempfile.mkstemp(
-                dir=self.directory, prefix=".spill-", suffix=".tmp")
-            with os.fdopen(fd, "wb") as out:
-                out.write(f"{SPILL_MAGIC} v{SPILL_VERSION}\n".encode("ascii"))
-                out.write((json.dumps(meta, sort_keys=True) + "\n")
-                          .encode("ascii"))
-                with open(payload_path, "rb") as payload:
-                    shutil.copyfileobj(payload, out)
-                out.flush()
-                os.fsync(out.fileno())
-            os.replace(final_path, self.path(name))
-            final_path = None
-            return name, count
+            name = RUN_SEGMENTS.write_stream(self.directory, lines(), meta)
         except OSError as exc:
             raise DetectionError(
                 f"cannot write spill run under {self.directory!r}: {exc}"
             ) from exc
-        finally:
-            for leftover in (payload_path, final_path):
-                if leftover is not None:
-                    try:
-                        os.unlink(leftover)
-                    except OSError:
-                        pass
+        return name, meta["rows"]
 
     def remove_unreferenced(self, referenced: set[str]) -> None:
         """Best-effort deletion of run files no live state points at."""
         try:
-            names = os.listdir(self.directory)
+            RUN_SEGMENTS.remove_orphans(self.directory, referenced)
         except OSError:
-            return
-        for name in names:
-            if name.endswith(RUN_SUFFIX) and name not in referenced:
-                try:
-                    os.unlink(self.path(name))
-                except OSError:
-                    pass
+            pass
 
     # -- reading ------------------------------------------------------
 
     def validate_run(self, name: str, role: str | None = None) -> bool:
-        """One streaming integrity pass: header, checksum, size, role."""
+        """One streaming integrity pass; a failing run warns once."""
         try:
-            with open(self.path(name), "rb") as handle:
-                header = handle.readline(256).decode("ascii", "replace")
-                if header.split() != [SPILL_MAGIC, f"v{SPILL_VERSION}"]:
-                    self._complain(name, "has an unrecognized header")
-                    return False
-                try:
-                    meta = json.loads(handle.readline())
-                except ValueError:
-                    meta = None
-                if not isinstance(meta, dict):
-                    self._complain(name, "has unreadable metadata")
-                    return False
-                digest = hashlib.sha256()
-                seen = 0
-                while True:
-                    chunk = handle.read(1 << 16)
-                    if not chunk:
-                        break
-                    digest.update(chunk)
-                    seen += len(chunk)
-                if seen != meta.get("payload_bytes"):
-                    self._complain(name, "is truncated")
-                    return False
-                if digest.hexdigest() != meta.get("sha256"):
-                    self._complain(name, "fails its checksum")
-                    return False
-                if role is not None and meta.get("role") != role:
-                    self._complain(name, f"has role {meta.get('role')!r}, "
-                                         f"expected {role!r}")
-                    return False
-                return True
-        except OSError:
-            self._complain(name, "is unreadable")
+            meta = RUN_SEGMENTS.verify(self.path(name))
+            if role is not None and meta.get("role") != role:
+                raise SegmentError(f"has role {meta.get('role')!r}, "
+                                   f"expected {role!r}")
+        except SegmentError as error:
+            if name not in self._warned and self.warn is not None:
+                self.warn(f"spill run {name!r} {error}; "
+                          f"regenerating keys from source")
+            self._warned.add(name)
             return False
+        return True
 
     def iter_run(self, name: str,
                  memo: dict[str, str] | None = None) -> Iterator[GkRow]:
@@ -294,9 +228,8 @@ class SpillStore:
         preferred to yielding wrong rows.
         """
         try:
-            with open(self.path(name), "rb") as handle:
-                handle.readline()
-                meta = json.loads(handle.readline())
+            meta, handle = RUN_SEGMENTS.open_payload(self.path(name))
+            with handle:
                 payload_start = handle.tell()
                 pool_offset = int(meta["pool_offset"])
                 handle.seek(payload_start + pool_offset)
@@ -317,7 +250,8 @@ class SpillStore:
                         [None if ref < 0 else pool[ref] for ref in ods],
                         {child: list(eids)
                          for child, eids in children.items()})
-        except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+        except (OSError, SegmentError, ValueError, KeyError, IndexError,
+                TypeError) as exc:
             raise DetectionError(
                 f"spill run {name!r} became unreadable mid-run: {exc}"
             ) from exc
@@ -499,6 +433,22 @@ def spill_gk_streaming(events: Iterable[XmlEvent], config: SxnmConfig,
     stream_rows(events, hierarchy or CandidateHierarchy(config), spillers)
     return {name: spiller.finish(fan_in)
             for name, spiller in spillers.items()}
+
+
+def save_spilled(index, tables: dict) -> None:
+    """Commit the spilled ``tables``' run state to ``index``.
+
+    Once the state is committed, run files under ``<index dir>/spill``
+    that it no longer names (an earlier run's) are deleted best-effort.
+    """
+    state = {name: table.state() for name, table in tables.items()
+             if getattr(table, "spilled", False)}
+    if index.save_spill(state):
+        referenced = {name for entry in state.values()
+                      for names in [entry["doc"], *entry["keys"]]
+                      for name in names}
+        SpillStore(os.path.join(index.directory, "spill")) \
+            .remove_unreferenced(referenced)
 
 
 # ---------------------------------------------------------------------------

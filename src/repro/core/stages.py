@@ -442,12 +442,20 @@ class ParentGroupedStrategy:
     traversal = TOP_DOWN
 
     def find_pairs(self, ctx: CandidateContext) -> NeighborhoodOutcome:
+        # One document-order pass fetches every row: a spilled table
+        # reads each run once, not once per eid.  Groups share ctx.pairs
+        # sequentially (a pair confirmed in an earlier group is skipped),
+        # so they always run in-process.
+        rows = {row.eid: row for row in ctx.table}
+        groups = [[rows[eid] for eid in eids] for eids in self._groups(ctx)]
         comparisons = 0
         for key_index in ctx.key_indices:
             ctx.pass_started(key_index)
             before = comparisons
-            for group in self._groups(ctx):
-                comparisons += self._windowed_group(ctx, group, key_index)
+            for group in groups:
+                group.sort(key=lambda row: (row.keys[key_index], row.eid))
+                comparisons += slide(group, ctx.window, ctx.compare,
+                                     ctx.pairs)
             ctx.pass_finished(key_index, comparisons - before)
         return NeighborhoodOutcome(comparisons)
 
@@ -470,14 +478,6 @@ class ParentGroupedStrategy:
         if orphans:
             grouped.append(orphans)
         return grouped
-
-    def _windowed_group(self, ctx: CandidateContext, eids: list[int],
-                        key_index: int) -> int:
-        rows = [ctx.table.row(eid) for eid in eids]
-        ordered = sorted(rows, key=lambda row: (row.keys[key_index], row.eid))
-        # Groups share ctx.pairs sequentially (a pair confirmed in an
-        # earlier group is skipped), so they always run in-process.
-        return slide(ordered, ctx.window, ctx.compare, ctx.pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,24 +14,19 @@ Design constraints (all load-bearing):
   can never change a pair, cluster, or decision under any threshold.
   Non-finite scores are rejected at :meth:`record` time and skipped
   defensively on load.
-* **Append-only, atomic, content-addressed.**  A flush writes the new
-  entries to a temporary file in the cache directory and publishes it
-  with ``os.replace`` under a name derived from the payload checksum.
-  No file is ever modified in place, so concurrent writers cannot
-  corrupt each other: two racing flushes produce two valid segments
-  (or, with identical content, the very same file).
-* **Fail cold, never wrong.**  Every segment carries a version header,
-  its payload length, a SHA-256 checksum, and the *trait fingerprints*
-  of the φ functions it mentions.  Truncated, corrupted, alien, or
-  stale segments are reported through one warning each and contribute
-  nothing — a damaged cache degrades to a cold start, it never serves a
-  wrong score.
-* **Version/trait drift invalidates.**  :func:`phi_fingerprint` hashes
-  a φ's registry traits together with its implementation (module,
-  qualname, bytecode) — editing a φ, re-registering it with different
-  traits, or switching Python versions changes the fingerprint and
-  retires the entries instead of silently serving scores the current
-  code would not produce.
+* **Append-only segments** of the shared codec (:mod:`repro.segments`).
+  A flush publishes its entries as one new segment and no file is ever
+  modified in place, so two racing flushes produce two valid segments
+  (or, with identical content, the very same file).  A segment the
+  codec refuses warns once and contributes nothing: a damaged cache
+  degrades to a cold start, it never serves a wrong score.
+* **Version/trait drift invalidates.**  Each segment's metadata carries
+  the *trait fingerprints* of the φ functions it mentions.
+  :func:`phi_fingerprint` hashes a φ's registry traits together with
+  its implementation (module, qualname, bytecode) — editing a φ,
+  re-registering it with different traits, or switching Python
+  versions changes the fingerprint and retires the entries instead of
+  silently serving scores the current code would not produce.
 
 Worker processes open the store read-only (one shared instance per
 process, see :func:`open_shared_store`); their newly computed entries
@@ -45,15 +40,17 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from collections.abc import Callable, Mapping
 
+from ..segments import SegmentError, SegmentFormat
 from .registry import get_similarity, get_traits
 
 #: First line of every segment file: format magic plus version.
 SEGMENT_MAGIC = "sxnm-phi-cache"
 SEGMENT_VERSION = 1
 SEGMENT_SUFFIX = ".phiseg"
+PHI_SEGMENTS = SegmentFormat(SEGMENT_MAGIC, SEGMENT_VERSION, "segment",
+                             SEGMENT_SUFFIX)
 
 WarnCallback = Callable[[str], None]
 
@@ -210,37 +207,13 @@ class PersistentPhiCache:
         # refresh would only repeat the warning, never recover entries.
         self._seen_files.add(name)
         try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-        except OSError as error:
-            self._emit(f"phi cache: cannot read segment {name} ({error}); "
-                       f"ignoring it")
-            return
-        header, _, rest = raw.partition(b"\n")
-        if header.decode("utf-8", "replace").split() \
-                != [SEGMENT_MAGIC, f"v{SEGMENT_VERSION}"]:
-            self._emit(f"phi cache: segment {name} has an unrecognized "
-                       f"header (not a v{SEGMENT_VERSION} "
-                       f"{SEGMENT_MAGIC} file); ignoring it")
-            return
-        meta_line, _, payload = rest.partition(b"\n")
-        try:
-            meta = json.loads(meta_line.decode("utf-8"))
-            payload_bytes = int(meta["payload_bytes"])
-            checksum = str(meta["sha256"])
-            fingerprints = dict(meta["fingerprints"])
-        except (ValueError, KeyError, TypeError) as error:
-            self._emit(f"phi cache: segment {name} has a corrupt metadata "
-                       f"line ({error}); ignoring it")
-            return
-        if len(payload) != payload_bytes:
-            self._emit(f"phi cache: segment {name} is truncated "
-                       f"({len(payload)} of {payload_bytes} payload bytes); "
-                       f"ignoring it")
-            return
-        if hashlib.sha256(payload).hexdigest() != checksum:
-            self._emit(f"phi cache: segment {name} fails its checksum; "
-                       f"ignoring it")
+            meta, payload = PHI_SEGMENTS.read(path)
+            fingerprints = meta.get("fingerprints")
+            if not isinstance(fingerprints, dict):
+                raise SegmentError("has a corrupt metadata line "
+                                   "(no fingerprints)")
+        except SegmentError as error:
+            self._emit(f"phi cache: segment {name} {error}; ignoring it")
             return
         stale = sorted(phi for phi, recorded in fingerprints.items()
                        if phi_fingerprint(phi) != recorded)
@@ -330,32 +303,10 @@ class PersistentPhiCache:
         lines = [json.dumps([phi, left, right, value], ensure_ascii=True)
                  for (phi, left, right), value in sorted(entries.items())]
         payload = ("\n".join(lines) + "\n").encode("utf-8")
-        checksum = hashlib.sha256(payload).hexdigest()
         fingerprints = {phi: phi_fingerprint(phi)
                         for phi in sorted({key[0] for key in entries})}
-        meta = json.dumps({
-            "entries": len(entries),
-            "payload_bytes": len(payload),
-            "sha256": checksum,
-            "fingerprints": fingerprints,
-        }, sort_keys=True)
-        blob = (f"{SEGMENT_MAGIC} v{SEGMENT_VERSION}\n{meta}\n"
-                .encode("utf-8") + payload)
-        name = f"segment-{checksum[:16]}{SEGMENT_SUFFIX}"
-        final = os.path.join(self.directory, name)
-        fd, temp_path = tempfile.mkstemp(dir=self.directory,
-                                         prefix=".phiseg-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(temp_path, final)
-        except OSError:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
-        return name
+        return PHI_SEGMENTS.write(self.directory, payload, {
+            "entries": len(entries), "fingerprints": fingerprints})
 
     def flush(self) -> int:
         """Persist the pending entries as one atomic segment.
@@ -403,12 +354,12 @@ class PersistentPhiCache:
             return 0
         self.segments_written += 1
         try:
-            for name in os.listdir(self.directory):
-                if name.endswith(SEGMENT_SUFFIX) and name != keep:
-                    os.unlink(os.path.join(self.directory, name))
+            _, failed = PHI_SEGMENTS.remove_orphans(self.directory, {keep})
         except OSError as error:
+            failed = [(self.directory, error)]
+        if failed:
             self._emit(f"phi cache: compaction could not remove an old "
-                       f"segment ({error}); duplicates are harmless")
+                       f"segment ({failed[0][1]}); duplicates are harmless")
         self._seen_files = {keep}
         self._loaded = entries
         self._new.clear()

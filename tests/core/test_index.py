@@ -385,6 +385,60 @@ class TestOperations:
         assert manifest["version"] == 1
 
 
+class TestManifestWrites:
+    """A commit publishes its segment and counters in one manifest write."""
+
+    def manifest_writes(self, monkeypatch):
+        writes = []
+        replace = os.replace
+
+        def counted(source, target, *args, **kwargs):
+            if os.path.basename(target) == MANIFEST_NAME:
+                writes.append(target)
+            return replace(source, target, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", counted)
+        return writes
+
+    def test_each_commit_replaces_the_manifest_once(self, tmp_path,
+                                                    monkeypatch):
+        index = open_index(tmp_path)
+        index.begin_run(dataset1_config(), "c" * 16, run_signature(5, None))
+        writes = self.manifest_writes(monkeypatch)
+        tables = make_tables()
+        commits = [
+            lambda: index.save_gk(tables),
+            lambda: index.save_spill({"movie": {"rows": 2, "doc": [],
+                                                "keys": []}}),
+            lambda: index.commit_candidate("movie", {(3, 9)}, 4, 0, None),
+            lambda: index.commit_session(
+                12, 1, {"movie": (tables["movie"], {(3, 9)}, 4)}),
+        ]
+        for count, commit in enumerate(commits, start=1):
+            assert commit()
+            assert len(writes) == count
+        counters = DetectionIndex(index.directory).open().counters()
+        assert counters == {"runs": 1, "gk_rows": 5, "spill_rows": 2,
+                            "candidates_committed": 1,
+                            "window_comparisons": 4, "pairs_confirmed": 1,
+                            "batches_committed": 1}
+
+    def test_out_of_core_detection_writes_one_per_segment(self, tmp_path,
+                                                          monkeypatch):
+        from repro.core import SxnmDetector
+        from repro.datagen import generate_dirty_movies
+        from repro.xmlmodel import serialize
+        writes = self.manifest_writes(monkeypatch)
+        directory = tmp_path / "index"
+        SxnmDetector(dataset1_config(), index_dir=str(directory),
+                     stream=True, spill_max_rows=16).run(
+            serialize(generate_dirty_movies(60, seed=1)))
+        segments = [name for name in os.listdir(directory)
+                    if name.endswith(SEGMENT_SUFFIX)]
+        assert len(segments) == 2  # the spill state and the movie run
+        assert len(writes) == len(segments) + 1  # and begin_run's
+
+
 class TestDeterministicSegments:
     def test_two_fresh_indexes_of_one_detection_match_byte_for_byte(
             self, tmp_path):

@@ -1,10 +1,13 @@
 """Fault injection for the DetectionIndex: fail cold, never wrong.
 
-Mirrors ``tests/similarity/test_store_faults.py``: every test damages an
-index directory in one specific way, then asserts that the damage
-produces exactly one human-readable warning and that whatever still
-loads is correct — a damaged index degrades to a cold start (the state
-is regenerated), it never resumes wrong state.  For an incremental
+Every test damages an index directory in one specific way, then
+asserts that the damage produces exactly one human-readable warning and
+that whatever still loads is correct — a damaged index degrades to a
+cold start (the state is regenerated), it never resumes wrong state.
+Damaged segment framing is the shared battery's
+(``tests/segment_faults.py``); the rest is the index's own: role and
+fingerprint checks, the manifest, writes, decoding, compaction and the
+session chain.  For an incremental
 session that holds for the whole chain: one damaged link, wherever it
 sits, drops the session rather than restoring a prefix of it.
 """
@@ -15,13 +18,16 @@ import os
 import pytest
 
 from repro.core import CounterObserver, SxnmDetector
-from repro.core.index import (DetectionIndex, INDEX_MAGIC, MANIFEST_NAME,
-                              SEGMENT_SUFFIX, SESSION_DELTA_ROLE)
+from repro.core.index import (DetectionIndex, INDEX_MAGIC, INDEX_SEGMENTS,
+                              MANIFEST_NAME, SEGMENT_SUFFIX,
+                              SESSION_DELTA_ROLE)
 from repro.datagen import generate_dirty_movies
 from repro.experiments import dataset1_config
 from repro.xmlmodel import serialize
 from tests.core.conftest import (chain_links, disc_batches, open_session,
                                  run_session, session_state)
+from tests.core.test_index import make_tables
+from tests.segment_faults import FramingFaults
 
 
 def seeded_directory(tmp_path, name="index"):
@@ -53,52 +59,44 @@ def load_everything(index):
     index.load_session()
 
 
-class TestSegmentFaults:
-    def test_flipped_payload_byte_fails_checksum(self, tmp_path):
-        directory, _, _ = seeded_directory(tmp_path)
-        path = segment_paths(directory)[0]
-        blob = bytearray(open(path, "rb").read())
-        blob[-5] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+class IndexOwner:
+    """The detection index as an owner of the framing-fault battery."""
 
-        index, warnings = reopen(directory)
-        load_everything(index)
-        assert len(warnings) == 1
-        assert "fails its checksum" in warnings[0]
+    segments = INDEX_SEGMENTS
+    consequence = "; ignoring it"
 
-    def test_truncated_tail(self, tmp_path):
-        directory, _, _ = seeded_directory(tmp_path)
-        path = segment_paths(directory)[0]
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-15])
+    def __init__(self, directory):
+        self.directory = directory
 
-        index, warnings = reopen(directory)
-        load_everything(index)
-        assert len(warnings) == 1
-        assert "is truncated" in warnings[0]
+    def seed(self):
+        index = DetectionIndex(self.directory).open()
+        index.manifest["config_fingerprint"] = "f" * 16
+        assert index.save_gk(make_tables())
+        assert index.commit_candidate("movie", {(3, 9)}, 4, 0, None)
+        self.roles = {os.path.join(self.directory, name): role
+                      for role, name in index.manifest["segments"].items()}
+        return list(self.roles)
 
-    def test_alien_version_header(self, tmp_path):
-        directory, _, _ = seeded_directory(tmp_path)
-        path = segment_paths(directory)[0]
-        _, _, rest = open(path, "rb").read().partition(b"\n")
-        open(path, "wb").write(f"{INDEX_MAGIC} v99\n".encode() + rest)
+    def load(self):
+        warnings = []
+        self.index = DetectionIndex(self.directory,
+                                    warn=warnings.append).open()
+        for _ in range(2):
+            self.index.load_gk()
+            self.index.load_candidate("movie")
+        return warnings
 
-        index, warnings = reopen(directory)
-        load_everything(index)
-        assert len(warnings) == 1
-        assert "unrecognized header" in warnings[0]
+    def subject(self, name):
+        return f"detection index: segment {name} "
 
-    def test_corrupt_metadata_line(self, tmp_path):
-        directory, _, _ = seeded_directory(tmp_path)
-        path = segment_paths(directory)[0]
-        header, _, rest = open(path, "rb").read().partition(b"\n")
-        _, _, payload = rest.partition(b"\n")
-        open(path, "wb").write(header + b"\n{broken json\n" + payload)
+    def served(self, path):
+        if self.roles[path] == "gk":
+            return self.index.load_gk() is not None
+        return self.index.load_candidate("movie") is not None
 
-        index, warnings = reopen(directory)
-        load_everything(index)
-        assert len(warnings) == 1
-        assert "corrupt metadata" in warnings[0]
+
+class TestSegmentFaults(FramingFaults):
+    owner = IndexOwner
 
     def test_stale_fingerprint_segment(self, tmp_path):
         directory, _, _ = seeded_directory(tmp_path)
@@ -133,20 +131,6 @@ class TestSegmentFaults:
         load_everything(reopened)
         assert len(warnings) == 1
         assert "holds" in warnings[0] and "not" in warnings[0]
-
-    def test_each_damaged_segment_warns_once(self, tmp_path):
-        directory, _, _ = seeded_directory(tmp_path)
-        paths = segment_paths(directory)
-        assert len(paths) >= 2
-        for path in paths[:2]:
-            blob = bytearray(open(path, "rb").read())
-            blob[-5] ^= 0xFF
-            open(path, "wb").write(bytes(blob))
-
-        index, warnings = reopen(directory)
-        load_everything(index)
-        load_everything(index)  # a second sweep must not re-warn
-        assert len(warnings) == 2
 
 
 class TestManifestFaults:
@@ -219,19 +203,6 @@ class TestWriteFaults:
         index, warnings = reopen(tmp_path / "index")
         assert index.open() is index
         assert warnings == []
-
-    def test_unreadable_segment_file_warns(self, tmp_path):
-        directory, _, _ = seeded_directory(tmp_path)
-        index, _ = reopen(directory)
-        name = index.manifest["segments"]["gk"]
-        path = directory / name
-        path.unlink()
-        path.mkdir()  # open() on a directory raises an OSError
-
-        reopened, warnings = reopen(directory)
-        assert reopened.load_gk() is None
-        assert len(warnings) == 1
-        assert "cannot read segment" in warnings[0]
 
 
 class TestDecodeFaults:

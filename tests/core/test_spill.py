@@ -12,22 +12,25 @@ differential battery over whole detections lives in
 
 import json
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CandidateSpec, SxnmConfig, load_config, dump_config
-from repro.core import (SpilledGkTable, SpillStore, generate_gk,
-                        generate_gk_streaming, spill_gk_streaming)
+from repro.core import (DetectionEngine, OdOnlyPolicy, ParentGroupedStrategy,
+                        SpilledGkTable, SpillingKeySource, SpillStore,
+                        generate_gk, generate_gk_streaming,
+                        spill_gk_streaming)
 from repro.core.candidates import CandidateHierarchy
 from repro.core.gk import GkRow
 from repro.core.spill import (DEFAULT_SPILL_MAX_ROWS, XmlFileSource,
                               document_events, merge_runs, source_events)
 from repro.core.window import de_slide, slide
-from repro.datagen import generate_dirty_movies
+from repro.datagen import generate_dataset2, generate_dirty_movies
 from repro.errors import DetectionError
-from repro.experiments import dataset1_config
+from repro.experiments import dataset1_config, dataset2_config
 from repro.xmlmodel import iter_events, parse, serialize, write_file
 from tests.core.reference_window import de_window_pass, segment_window_pass
 
@@ -137,6 +140,20 @@ class TestRunFiles:
         assert os.path.exists(store.path(keep))
         assert not os.path.exists(store.path(drop))
 
+    def test_a_committed_spill_state_drops_earlier_runs(self, tmp_path):
+        from repro.core import SxnmDetector
+        from repro.core.index import DetectionIndex
+        index_dir = tmp_path / "index"
+        for count in (20, 12):
+            SxnmDetector(dataset1_config(), index_dir=str(index_dir),
+                         stream=True, spill_max_rows=6).run(
+                serialize(generate_dirty_movies(count, seed=3)))
+        state = DetectionIndex(str(index_dir)).open().load_spill()
+        live = {name for entry in state.values()
+                for names in [entry["doc"], *entry["keys"]]
+                for name in names}
+        assert live and set(os.listdir(index_dir / "spill")) == live
+
 
 class TestMergeOrder:
     def test_merged_runs_equal_sorted_by_key(self, movies, tmp_path):
@@ -213,6 +230,50 @@ class TestSpilledTableFacade:
             for key_index, names in enumerate(state["keys"]):
                 for name in names:
                     assert store.validate_run(name, role=f"key{key_index}")
+
+    @pytest.mark.parametrize("config, document", [
+        (dataset1_config, lambda: generate_dirty_movies(60, seed=1)),
+        (lambda: dataset2_config(window=5),
+         lambda: generate_dataset2(disc_count=40, seed=1)),
+    ], ids=["movies", "discs-with-parent-groups"])
+    def test_parent_grouped_windows_read_each_doc_run_once(
+            self, monkeypatch, config, document):
+        """Run reads grow linearly with the corpus: each find_pairs
+        reads every document-order run at most once, and the pairs are
+        those of the same engine over in-memory tables."""
+        reads = []
+        iter_run = SpillStore.iter_run
+
+        def counted_iter_run(store, name, memo=None):
+            reads.append(name)
+            return iter_run(store, name, memo)
+
+        strategy = ParentGroupedStrategy()
+        find_pairs = strategy.find_pairs
+        per_call = []
+
+        def counted_find_pairs(ctx):
+            reads.clear()
+            outcome = find_pairs(ctx)
+            per_call.append(Counter(reads))
+            return outcome
+
+        strategy.find_pairs = counted_find_pairs
+        monkeypatch.setattr(SpillStore, "iter_run", counted_iter_run)
+        text = serialize(document())
+        spilled = DetectionEngine(
+            config(), key_source=SpillingKeySource(max_rows=16),
+            neighborhood=strategy, decision=OdOnlyPolicy()).run(text)
+        monkeypatch.undo()
+        in_memory = DetectionEngine(
+            config(), neighborhood=ParentGroupedStrategy(),
+            decision=OdOnlyPolicy()).run(text)
+        assert len(per_call) == len(config().candidates)
+        assert all(per_call)
+        assert all(count == 1 for reads_in_call in per_call
+                   for count in reads_in_call.values())
+        for name in in_memory.outcomes:
+            assert spilled.pairs(name) == in_memory.pairs(name)
 
 
 class TestStreamKernels:

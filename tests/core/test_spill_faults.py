@@ -1,27 +1,26 @@
 """Fault injection for spill run files: fail cold, never wrong.
 
-Mirrors ``test_index_faults.py`` for the out-of-core layer: every test
+The out-of-core layer's half of ``test_index_faults.py``: every test
 damages a run file (or the index's saved spill state) in one specific
 way, then asserts that the damage produces exactly one human-readable
 warning and that detection still returns the correct result — a damaged
 run degrades to regenerating keys from source, it never yields wrong
-rows.
-
-The payload region (row lines + string pool) is covered by the SHA-256
-in the meta line; the meta line itself is not, but its integrity fields
-(``payload_bytes`` / ``sha256``) are self-checking and the rest
-(``role`` / ``rows``) is advisory — so the tests damage payload bytes,
-truncate, or rewrite the header, the three classes a reader must catch.
+rows.  Damaged run framing is the shared battery's
+(``tests/segment_faults.py``); the rest is the spill store's own:
+damage after validation, resume over damaged runs, and saved state that
+no longer fits the configuration.
 """
 
 import os
 
 from repro.core import SpillStore, SxnmDetector
-from repro.core.spill import RUN_SUFFIX, SpillingKeySource
+from repro.core.gk import GkRow
+from repro.core.spill import RUN_SEGMENTS, RUN_SUFFIX, SpillingKeySource
 from repro.datagen import generate_dirty_movies
 from repro.errors import DetectionError
 from repro.experiments import dataset1_config
 from repro.xmlmodel import serialize
+from tests.segment_faults import FramingFaults
 
 
 def seeded_spill(tmp_path):
@@ -49,55 +48,51 @@ def damage_payload(path):
     open(path, "wb").write(bytes(blob))
 
 
-class TestValidateFaults:
+class SpillOwner:
+    """The spill store as an owner of the framing-fault battery."""
+
+    segments = RUN_SEGMENTS
+    consequence = "; regenerating keys from source"
+
+    def __init__(self, directory):
+        self.directory = directory
+
+    def seed(self):
+        rows = [GkRow(i, [f"k{(7 * i) % 20:03d}"], ["od"], {})
+                for i in range(20)]
+        store = SpillStore(self.directory)
+        doc, _ = store.write_run("doc", iter(rows))
+        key0, _ = store.write_run("key0", iter(
+            sorted(rows, key=lambda row: (row.keys[0], row.eid))))
+        self.runs = {store.path(doc): "doc", store.path(key0): "key0"}
+        return list(self.runs)
+
+    def load(self):
+        warnings = []
+        self.store = SpillStore(self.directory, warn=warnings.append)
+        for _ in range(2):
+            self.valid = {path: self.store.validate_run(
+                os.path.basename(path), role) for path, role
+                in self.runs.items()}
+        return warnings
+
+    def subject(self, name):
+        return f"spill run {name!r} "
+
+    def served(self, path):
+        return self.valid[path] and len(list(
+            self.store.iter_run(os.path.basename(path)))) == 20
+
+
+class TestValidateFaults(FramingFaults):
+    owner = SpillOwner
+
     def store(self, tmp_path):
         warnings = []
         store = SpillStore(str(tmp_path), warn=warnings.append)
-        from repro.core.gk import GkRow
         rows = [GkRow(i, [f"k{i:03d}"], ["od"], {}) for i in range(20)]
         name, _ = store.write_run("doc", iter(rows))
         return store, name, warnings
-
-    def test_flipped_payload_byte_fails_checksum(self, tmp_path):
-        store, name, warnings = self.store(tmp_path)
-        damage_payload(store.path(name))
-        assert store.validate_run(name) is False
-        assert store.validate_run(name) is False  # warn once, not twice
-        assert len(warnings) == 1
-        assert "fails its checksum" in warnings[0]
-
-    def test_truncated_run(self, tmp_path):
-        store, name, warnings = self.store(tmp_path)
-        blob = open(store.path(name), "rb").read()
-        open(store.path(name), "wb").write(blob[:-12])
-        assert store.validate_run(name) is False
-        assert len(warnings) == 1
-        assert "is truncated" in warnings[0]
-
-    def test_alien_header(self, tmp_path):
-        store, name, warnings = self.store(tmp_path)
-        _, _, rest = open(store.path(name), "rb").read().partition(b"\n")
-        open(store.path(name), "wb").write(b"sxnm-spill v99\n" + rest)
-        assert store.validate_run(name) is False
-        assert len(warnings) == 1
-        assert "unrecognized header" in warnings[0]
-
-    def test_corrupt_metadata_line(self, tmp_path):
-        store, name, warnings = self.store(tmp_path)
-        header, _, rest = open(store.path(name), "rb").read().partition(b"\n")
-        _, _, payload = rest.partition(b"\n")
-        open(store.path(name), "wb").write(
-            header + b"\n{broken json\n" + payload)
-        assert store.validate_run(name) is False
-        assert len(warnings) == 1
-        assert "unreadable metadata" in warnings[0]
-
-    def test_missing_run_is_unreadable(self, tmp_path):
-        store, name, warnings = self.store(tmp_path)
-        os.unlink(store.path(name))
-        assert store.validate_run(name) is False
-        assert len(warnings) == 1
-        assert "is unreadable" in warnings[0]
 
     def test_damage_after_validation_raises_not_wrong(self, tmp_path):
         # iter_run guards against damage racing in after validate_run:

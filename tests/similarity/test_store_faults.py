@@ -4,7 +4,10 @@ Every test damages a cache directory in a specific way, then asserts
 two things: the damage produces exactly one human-readable warning, and
 a detection run over that directory still returns results bit-identical
 to a cache-free run (a damaged cache degrades to a cold start — it can
-never change a pair, a cluster, or a score).
+never change a pair, a cluster, or a score).  Damaged segment framing
+is the shared battery's (``tests/segment_faults.py``); the rest is the
+φ store's own: fingerprint drift, unwritable directories, and whole
+detections over a damaged cache.
 """
 
 import os
@@ -16,8 +19,9 @@ from repro.core.observer import CounterObserver
 from repro.datagen import generate_dirty_movies
 from repro.experiments import dataset1_config
 from repro.similarity import (PhiTraits, register_similarity, reset_registry)
-from repro.similarity.store import (PersistentPhiCache, SEGMENT_MAGIC,
+from repro.similarity.store import (PHI_SEGMENTS, PersistentPhiCache,
                                     SEGMENT_SUFFIX)
+from tests.segment_faults import FramingFaults
 
 
 def seeded_directory(tmp_path, name="cache"):
@@ -44,76 +48,47 @@ def reopen(directory):
     return store, warnings
 
 
-class TestSegmentFaults:
-    def test_flipped_payload_byte_fails_checksum(self, tmp_path):
-        directory = seeded_directory(tmp_path)
-        path = segment_path(directory)
-        blob = bytearray(open(path, "rb").read())
-        blob[-10] ^= 0xFF  # one bit of payload
-        open(path, "wb").write(bytes(blob))
+class PhiOwner:
+    """The φ store as an owner of the framing-fault battery."""
 
-        store, warnings = reopen(directory)
-        assert len(warnings) == 1
-        assert "fails its checksum" in warnings[0]
-        assert len(store) == 0
-        assert store.lookup(("edit", "matrix", "matrlx")) is None
+    segments = PHI_SEGMENTS
+    consequence = "; ignoring it"
+    batches = [{("edit", "matrix", "matrlx"): 0.8333333333333334,
+                ("edit", "casablanca", "casablanka"): 0.9},
+               {("jaro", "alpha", "alpine"): 0.7}]
 
-    def test_truncated_tail(self, tmp_path):
-        directory = seeded_directory(tmp_path)
-        path = segment_path(directory)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-20])  # lost the tail mid-write
+    def __init__(self, directory):
+        self.directory = directory
+        self.entries = {}
 
-        store, warnings = reopen(directory)
-        assert len(warnings) == 1
-        assert "is truncated" in warnings[0]
-        assert len(store) == 0
+    def seed(self):
+        store = PersistentPhiCache(self.directory).open()
+        for batch in self.batches:
+            before = set(store.segment_files())
+            for key, value in batch.items():
+                store.record(key, value)
+            store.flush()
+            (name,) = set(store.segment_files()) - before
+            self.entries[os.path.join(self.directory, name)] = batch
+        return list(self.entries)
 
-    def test_wrong_version_header(self, tmp_path):
-        directory = seeded_directory(tmp_path)
-        path = segment_path(directory)
-        _, _, rest = open(path, "rb").read().partition(b"\n")
-        future = f"{SEGMENT_MAGIC} v99\n".encode() + rest
-        open(path, "wb").write(future)
+    def load(self):
+        warnings = []
+        self.store = PersistentPhiCache(self.directory,
+                                        warn=warnings.append).open()
+        self.store.refresh(os.listdir(self.directory))
+        return warnings
 
-        store, warnings = reopen(directory)
-        assert len(warnings) == 1
-        assert "unrecognized header" in warnings[0]
-        assert len(store) == 0
+    def subject(self, name):
+        return f"phi cache: segment {name} "
 
-    def test_alien_file_with_segment_suffix(self, tmp_path):
-        directory = seeded_directory(tmp_path)
-        alien = directory / f"alien{SEGMENT_SUFFIX}"
-        alien.write_bytes(b"not a cache file at all\n")
+    def served(self, path):
+        return all(self.store.lookup(key) == value
+                   for key, value in self.entries[path].items())
 
-        store, warnings = reopen(directory)
-        assert len(warnings) == 1
-        assert "unrecognized header" in warnings[0]
-        assert len(store) == 3  # the valid segment still loads
 
-    def test_corrupt_metadata_line(self, tmp_path):
-        directory = seeded_directory(tmp_path)
-        path = segment_path(directory)
-        header, _, rest = open(path, "rb").read().partition(b"\n")
-        _, _, payload = rest.partition(b"\n")
-        open(path, "wb").write(header + b"\n{broken json\n" + payload)
-
-        store, warnings = reopen(directory)
-        assert len(warnings) == 1
-        assert "corrupt metadata" in warnings[0]
-        assert len(store) == 0
-
-    def test_each_damaged_segment_warns_once(self, tmp_path):
-        directory = seeded_directory(tmp_path)
-        path = segment_path(directory)
-        blob = bytearray(open(path, "rb").read())
-        blob[-10] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
-        (directory / f"alien{SEGMENT_SUFFIX}").write_bytes(b"junk\n")
-
-        store, warnings = reopen(directory)
-        assert len(warnings) == 2  # one per damaged file, not per entry
-        assert len(store) == 0
+class TestSegmentFaults(FramingFaults):
+    owner = PhiOwner
 
 
 class TestFingerprintDrift:
